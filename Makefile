@@ -1,13 +1,22 @@
 # Convenience targets; everything builds offline from vendored deps
 # (third_party/, see README "Offline builds").
 
-.PHONY: build test chaos bench-smoke bench-json bench-check timing-check analyze-smoke serve-smoke forensics-smoke lint
+.PHONY: build test test-fallback chaos bench-smoke bench-json bench-check timing-check analyze-smoke serve-smoke forensics-smoke lint
 
 build:
 	cargo build --release --locked
 
 test:
 	cargo test -q --workspace --locked
+
+# The portable cde-sysio backends (one-datagram send/recv loop, bounded
+# park instead of ppoll) are what every non-Linux target runs and what
+# nothing on a Linux box exercises unless forced: run the sysio suite
+# and the reactor suites that lean on the wait with the fallback on.
+test-fallback:
+	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-sysio
+	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-engine \
+		--test reactor_correlation --test reactor_shard --test reactor_wait
 
 # Run every criterion bench exactly once — a fast correctness pass over
 # the bench harnesses (the zero-alloc wire bench asserts its property).

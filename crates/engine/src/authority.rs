@@ -283,11 +283,6 @@ fn serve(
 ) {
     let mut buf = [0u8; MAX_DATAGRAM];
     while !shutdown.load(Ordering::SeqCst) {
-        // Zone edits first, so a snapshot pushed before a probe is always
-        // visible to that probe.
-        while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
-            server = snapshot;
-        }
         let (len, peer) = match socket.recv_from(&mut buf) {
             Ok(ok) => ok,
             Err(e)
@@ -297,6 +292,12 @@ fn serve(
             }
             Err(_) => continue,
         };
+        // Zone edits before the query that just arrived, so a snapshot
+        // pushed before a probe was sent is always visible to that probe
+        // (this thread was blocked in `recv_from` when it was pushed).
+        while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
+            server = snapshot;
+        }
         // Untrusted bytes: decode errors are dropped, never panic (the
         // hardened `cde_dns::wire` path is load-bearing here).
         let Ok(query) = Message::decode(&buf[..len]) else {

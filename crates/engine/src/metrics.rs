@@ -19,8 +19,8 @@
 use cde_telemetry::{Collector, Metric};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Number of exponential latency buckets. Bucket `i` covers
 /// `[BASE_US << i, BASE_US << (i + 1))` microseconds; the last bucket is
@@ -54,7 +54,9 @@ pub struct MetricsBlock {
     rate_limit_stalls: AtomicU64,
     /// Total time spent waiting on the rate limiter, in microseconds.
     rate_limit_wait_us: AtomicU64,
-    /// Datagrams that arrived but failed wire decoding or ID matching.
+    /// Datagrams that arrived but failed wire decoding or ID matching,
+    /// plus receive calls that failed outright (a socket that cannot be
+    /// read yields nothing decodable either).
     decode_errors: AtomicU64,
     /// Latency histogram (microsecond buckets, exponential).
     latency_buckets: [AtomicU64; BUCKETS],
@@ -99,10 +101,15 @@ pub struct MetricsBlock {
     ring_depth: AtomicU64,
     /// High-water mark of the submission-ring occupancy.
     ring_depth_peak: AtomicU64,
-    /// Times the shard parked waiting for work.
+    /// Times the shard parked (blocked in its idle wait) for work.
     parks: AtomicU64,
-    /// Total time spent parked, in microseconds.
-    parked_us: AtomicU64,
+    /// Time spent parked, *including the wait in progress*, packed into
+    /// one word so a reader never sees a wait both finished and still
+    /// running. Bit 0 is set while the loop is blocked; bits 1.. hold
+    /// `P` (mod 2^63) where the parked total in microseconds is `P`
+    /// when idle and `P + clock_us()` while blocked — entering a wait
+    /// subtracts the clock, leaving it adds the clock back.
+    parked: AtomicU64,
     /// Times the shard was woken from a park by a submitter.
     unparks: AtomicU64,
     /// Total wake-to-first-poll latency, in microseconds: from the
@@ -226,13 +233,32 @@ impl MetricsBlock {
         self.ring_depth_peak.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// Records one park of `slept` spent waiting for work.
+    /// Records one finished park of `slept` spent waiting for work.
     pub fn record_park(&self, slept: Duration) {
         self.parks.fetch_add(1, Ordering::Relaxed);
-        self.parked_us.fetch_add(
-            slept.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
+        let us = slept.as_micros().min(u128::from(u64::MAX)) as u64;
+        self.parked.fetch_add(us << 1, Ordering::Relaxed);
+    }
+
+    /// Marks the owning loop as about to block. From here until
+    /// [`end_park`](Self::end_park) every [`snapshot`](Self::snapshot)
+    /// counts the wait in progress as parked time, so an idle loop's
+    /// duty cycle keeps falling instead of freezing at its last busy
+    /// value. Single-writer: only the loop thread brackets its waits.
+    pub fn begin_park(&self) {
+        let delta = 1u64.wrapping_sub(clock_us() << 1);
+        self.parked.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Closes the wait opened by [`begin_park`](Self::begin_park);
+    /// `blocked` is false when the wait was skipped because work was
+    /// already queued (not a park).
+    pub fn end_park(&self, blocked: bool) {
+        let delta = (clock_us() << 1).wrapping_sub(1);
+        self.parked.fetch_add(delta, Ordering::Relaxed);
+        if blocked {
+            self.parks.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Records one wake-from-park and its wake-to-first-poll latency.
@@ -310,7 +336,14 @@ impl MetricsBlock {
             ring_depth: self.ring_depth.load(Ordering::Relaxed),
             ring_depth_peak: self.ring_depth_peak.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
-            parked_us: self.parked_us.load(Ordering::Relaxed),
+            parked_us: {
+                // Clock first: a wait that ends between the two reads
+                // must not be extended past its real end.
+                let now = clock_us();
+                let packed = self.parked.load(Ordering::Relaxed);
+                let in_progress = if packed & 1 == 1 { now } else { 0 };
+                (packed >> 1).wrapping_add(in_progress) & (u64::MAX >> 1)
+            },
             unparks: self.unparks.load(Ordering::Relaxed),
             wake_latency_us: self.wake_latency_us.load(Ordering::Relaxed),
             wake_latency_max_us: self.wake_latency_max_us.load(Ordering::Relaxed),
@@ -321,6 +354,13 @@ impl MetricsBlock {
             flight_shed: self.flight_shed.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Microseconds on a process-wide monotonic clock — the time base of
+/// [`MetricsBlock::begin_park`]'s stamp.
+fn clock_us() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
 fn bucket_for(us: u64) -> usize {
@@ -1199,6 +1239,38 @@ mod tests {
         assert_eq!(EngineMetrics::new().snapshot().duty_cycle(), None);
         let text = s.to_string();
         assert!(text.contains("2 parks / 2 unparks"), "{text}");
+    }
+
+    #[test]
+    fn snapshot_mid_wait_counts_the_wait_in_progress() {
+        let block = MetricsBlock::new();
+        block.record_loop_iteration(Duration::from_micros(1000));
+        block.record_park(Duration::from_micros(1000));
+        block.begin_park();
+        let early = block.snapshot();
+        std::thread::sleep(Duration::from_millis(5));
+        let mid = block.snapshot();
+        // Still blocked: no park has *finished*, yet the time shows.
+        assert_eq!(mid.parks, 1);
+        assert!(early.parked_us >= 1000);
+        assert!(
+            mid.parked_us >= early.parked_us + 5000,
+            "parked_us stood still during the wait: {} → {}",
+            early.parked_us,
+            mid.parked_us
+        );
+        assert!(mid.duty_cycle().unwrap() < early.duty_cycle().unwrap());
+        block.end_park(true);
+        let done = block.snapshot();
+        assert_eq!(done.parks, 2);
+        assert!(done.parked_us >= mid.parked_us);
+        // Back in the loop: the total stops advancing.
+        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(block.snapshot().parked_us, done.parked_us);
+        // A wait skipped for queued work is not a park.
+        block.begin_park();
+        block.end_park(false);
+        assert_eq!(block.snapshot().parks, 2);
     }
 
     #[test]

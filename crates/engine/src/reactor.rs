@@ -16,8 +16,11 @@
 //!   ([`shard_for_target`]), so a target's replies always arrive on the
 //!   shard (and socket) that probed it and correlation stays local;
 //! * submissions travel over **per-shard lock-free rings**
-//!   ([`cde_sysio::MpscRing`]) with a park/unpark waker — no mutex
-//!   between submitters and any shard loop;
+//!   ([`cde_sysio::MpscRing`]); an idle shard blocks in one
+//!   [`cde_sysio::Poller`] wait over its sockets, a submitter's
+//!   [`cde_sysio::Waker`] and its next timer deadline — no mutex between
+//!   submitters and any shard loop, and no nap between a reply landing
+//!   and the loop reading it;
 //! * observability merges instead of sharing: each shard writes its own
 //!   [`MetricsBlock`](crate::metrics::MetricsBlock) (snapshots sum;
 //!   exported series grow a `shard` label when sharded), RTT digests and
@@ -43,7 +46,7 @@ use crate::resolver::LoopbackResolver;
 use crate::retry::RetryPolicy;
 use crate::rto::RtoTable;
 pub use crate::shard::shard_for_target;
-use crate::shard::{empty_slots, FaultLayer, ShardLoop, ShardWaker, Submission};
+use crate::shard::{empty_slots, FaultLayer, ShardLoop, Submission};
 use crate::timer::TimerWheel;
 use crate::transport::{Transport, TransportReply};
 use crate::udp::SyncLink;
@@ -55,7 +58,7 @@ use cde_insight::{PhaseProfiler, RttDigestSet};
 use cde_netsim::{DetRng, SimTime};
 use cde_platform::NameserverNet;
 use cde_pulse::ExemplarReservoir;
-use cde_sysio::{MpscRing, RecvSlot, MAX_BATCH};
+use cde_sysio::{MpscRing, Poller, RecvSlot, Waker, MAX_BATCH};
 use cde_telemetry::{MetricsRegistry, TelemetryHub};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
@@ -257,7 +260,7 @@ pub struct ProbeCompletion {
 /// Everything a submission handle needs, shared by all clones.
 struct HandleShared {
     rings: Vec<Arc<MpscRing<Submission>>>,
-    wakers: Vec<Arc<ShardWaker>>,
+    wakers: Vec<Waker>,
     exited: Vec<Arc<AtomicBool>>,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<EngineMetrics>,
@@ -468,14 +471,14 @@ impl ShardedReactor {
             // refill while the current window drains, without the ring
             // ever being the bottleneck.
             let ring = Arc::new(MpscRing::with_capacity((per_shard_in_flight * 2).max(1024)));
-            let waker = Arc::new(ShardWaker::default());
+            let poller = Poller::new(sockets)?;
+            let waker = poller.waker();
             let shard_exited = Arc::new(AtomicBool::new(false));
             let shard_loop = ShardLoop {
                 targets: targets.clone(),
-                sockets,
+                poller,
                 next_socket: 0,
                 ring: Arc::clone(&ring),
-                waker: Arc::clone(&waker),
                 exited: Arc::clone(&shard_exited),
                 slots: empty_slots(per_shard_in_flight),
                 free_slots: (0..per_shard_in_flight).rev().collect(),

@@ -17,6 +17,7 @@ use crate::clock::EngineClock;
 use cde_dns::{Message, Question, Rcode};
 use cde_netsim::DetRng;
 use cde_platform::{NameserverNet, ResolutionPlatform, ResolveResult};
+use cde_sysio::{Poller, Waker};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::Rng;
 use std::collections::HashMap;
@@ -28,14 +29,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 const MAX_DATAGRAM: usize = 4096;
-/// Sleep between polls when no socket had traffic.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
 /// How long a replayed upstream query waits for the authority's answer.
 const REPLAY_TIMEOUT: Duration = Duration::from_millis(250);
 /// Datagrams drained per socket per loop pass. A reactor-driven campaign
-/// lands whole `sendmmsg` bursts at once; draining one datagram per pass
-/// (the old behaviour) would cap throughput at one query per
-/// `IDLE_SLEEP`-ish iteration.
+/// lands whole `sendmmsg` bursts at once; the cap keeps one busy ingress
+/// from starving the others (and the zone-snapshot channel) for longer
+/// than a burst.
 const RECV_BURST: usize = 64;
 
 /// Behaviour knobs for the loopback platform front-end.
@@ -90,6 +89,8 @@ pub struct LoopbackResolver {
     obs_rx: Receiver<Observation>,
     obs_dropped: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
+    /// Ends the serving thread's idle wait so `Drop` joins promptly.
+    waker: Waker,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -107,13 +108,16 @@ impl LoopbackResolver {
         clock: EngineClock,
     ) -> io::Result<LoopbackResolver> {
         let mut ingress_addrs = HashMap::new();
-        let mut sockets = Vec::new();
-        for &ingress in platform.ingress_ips() {
+        let ingresses: Vec<Ipv4Addr> = platform.ingress_ips().to_vec();
+        let mut sockets = Vec::with_capacity(ingresses.len());
+        for &ingress in &ingresses {
             let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
             socket.set_nonblocking(true)?;
             ingress_addrs.insert(ingress, socket.local_addr()?);
-            sockets.push((ingress, socket));
+            sockets.push(socket);
         }
+        let poller = Poller::new(sockets)?;
+        let waker = poller.waker();
         let (ctl_tx, ctl_rx) = unbounded();
         let (obs_tx, obs_rx, obs_dropped) = obs_queue(crate::authority::OBS_QUEUE_CAP);
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -124,7 +128,8 @@ impl LoopbackResolver {
                 run(
                     platform,
                     net,
-                    sockets,
+                    ingresses,
+                    poller,
                     ctl_rx,
                     obs_tx,
                     authority_link,
@@ -140,6 +145,7 @@ impl LoopbackResolver {
             obs_rx,
             obs_dropped,
             shutdown,
+            waker,
             handle: Some(handle),
         })
     }
@@ -178,6 +184,7 @@ impl LoopbackResolver {
 impl Drop for LoopbackResolver {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.waker.force_wake();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -239,7 +246,8 @@ impl Replayer {
 fn run(
     mut platform: ResolutionPlatform,
     mut net: NameserverNet,
-    sockets: Vec<(Ipv4Addr, UdpSocket)>,
+    ingresses: Vec<Ipv4Addr>,
+    mut poller: Poller,
     ctl_rx: Receiver<Control>,
     obs_tx: ObsSender,
     authority_link: Option<(HashMap<Ipv4Addr, SocketAddr>, SourceRegistrar)>,
@@ -257,12 +265,14 @@ fn run(
     let mut buf = [0u8; MAX_DATAGRAM];
     while !shutdown.load(Ordering::SeqCst) {
         // Zone edits first, so a snapshot pushed before a probe arrives is
-        // always visible to that probe's resolution.
+        // always visible to that probe's resolution: the probe's datagram
+        // is what ends the idle wait below, and this drain runs before
+        // the sweep that reads it.
         while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
             net = snapshot;
         }
         let mut idle = true;
-        for (ingress, socket) in &sockets {
+        for (ingress, socket) in ingresses.iter().zip(poller.sockets()) {
             // Drain a whole burst per pass: batched senders deliver many
             // datagrams between two polls of this loop.
             for _ in 0..RECV_BURST {
@@ -288,7 +298,9 @@ fn run(
             }
         }
         if idle {
-            std::thread::sleep(IDLE_SLEEP);
+            // Nothing queued on any ingress: block until a query lands
+            // (or `Drop` fires the waker).
+            poller.wait(None, || false);
         }
     }
 }

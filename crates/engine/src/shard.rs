@@ -27,26 +27,16 @@ use cde_faults::{refused_reply, Direction, FaultInjector, FaultPlan, Verdict};
 use cde_insight::Phase;
 use cde_netsim::{DetRng, SimDuration};
 use cde_pulse::{ExemplarReservoir, ProbeExemplar};
-use cde_sysio::{MpscRing, RecvSlot, SendItem, MAX_BATCH};
+use cde_sysio::{MpscRing, Poller, RecvSlot, SendItem, MAX_BATCH};
 use cde_telemetry::{DropReason, EventKind as TelemetryEvent, TelemetryHub};
 use crossbeam::channel::Sender;
 use rand::Rng;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Timer-wheel granularity. Deadlines and backoffs are millisecond-scale,
-/// so a 1 ms tick wastes no precision the wire could deliver.
-pub(crate) const TICK: Duration = Duration::from_millis(1);
-/// Idle sleep while probes are in flight (lets the loopback serving
-/// threads run on small machines; bounds added reply latency).
-const BUSY_IDLE: Duration = Duration::from_micros(500);
-/// Idle sleep with nothing in flight; bounds shutdown latency.
-const DRAINED_IDLE: Duration = Duration::from_millis(20);
 
 /// Picks the shard that owns `ingress`, out of `shards`.
 ///
@@ -66,103 +56,6 @@ pub fn shard_for_target(ingress: Ipv4Addr, shards: usize) -> usize {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (hash % shards as u64) as usize
-}
-
-/// Wakes a parked shard loop when work arrives.
-///
-/// The submitter and the loop run the classic sleeping-consumer
-/// handshake: the loop publishes `sleeping = true` (SeqCst), then
-/// re-checks its ring before parking; a producer pushes, then checks
-/// `sleeping` (SeqCst) and unparks. The SeqCst total order rules out
-/// the lost-wakeup interleaving, and `unpark` before `park` leaves a
-/// token, so even a race inside `park_timeout` costs nothing. Staleness
-/// is additionally bounded by the loop's idle timeout.
-#[derive(Debug)]
-pub(crate) struct ShardWaker {
-    sleeping: AtomicBool,
-    thread: OnceLock<Thread>,
-    /// Time base for the wake stamp below (`Instant` can't live in an
-    /// atomic, so wakes are stamped as nanoseconds since this epoch).
-    epoch: Instant,
-    /// Nanoseconds-since-epoch of the last producer wake, 0 when none is
-    /// outstanding. The woken loop swaps it back to 0 and the difference
-    /// is the wake-to-first-poll latency.
-    wake_at_nanos: AtomicU64,
-}
-
-impl Default for ShardWaker {
-    fn default() -> ShardWaker {
-        ShardWaker {
-            sleeping: AtomicBool::new(false),
-            thread: OnceLock::new(),
-            epoch: Instant::now(),
-            wake_at_nanos: AtomicU64::new(0),
-        }
-    }
-}
-
-/// What one [`ShardWaker::park`] call did, for the shard's runtime
-/// telemetry.
-pub(crate) struct ParkOutcome {
-    /// How long the loop actually slept.
-    pub(crate) slept: Duration,
-    /// Unpark-to-resume latency, when a producer's wake ended the sleep
-    /// (absent on plain timeouts).
-    pub(crate) wake_latency: Option<Duration>,
-}
-
-impl ShardWaker {
-    /// Binds the waker to the calling thread (the shard loop, once).
-    fn register(&self) {
-        let _ = self.thread.set(std::thread::current());
-    }
-
-    fn now_nanos(&self) -> u64 {
-        // `max(1)`: 0 means "no wake outstanding".
-        (self.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64).max(1)
-    }
-
-    /// Producer side: unparks the loop if it is (or is about to be)
-    /// parked. Cheap when the loop is running hot — one SeqCst load.
-    pub(crate) fn wake(&self) {
-        if self.sleeping.swap(false, Ordering::SeqCst) {
-            self.wake_at_nanos.store(self.now_nanos(), Ordering::SeqCst);
-            if let Some(thread) = self.thread.get() {
-                thread.unpark();
-            }
-        }
-    }
-
-    /// Unconditional unpark — shutdown/drain use this so a parked loop
-    /// notices the flag immediately instead of after its idle timeout.
-    pub(crate) fn force_wake(&self) {
-        self.sleeping.store(false, Ordering::SeqCst);
-        if let Some(thread) = self.thread.get() {
-            thread.unpark();
-        }
-    }
-
-    /// Consumer side: parks for up to `timeout` unless `has_work`
-    /// observes queued work after the sleep flag is published. `None`
-    /// when the park was skipped.
-    fn park(&self, has_work: impl Fn() -> bool, timeout: Duration) -> Option<ParkOutcome> {
-        self.sleeping.store(true, Ordering::SeqCst);
-        if has_work() {
-            self.sleeping.store(false, Ordering::SeqCst);
-            return None;
-        }
-        let parked_at = Instant::now();
-        std::thread::park_timeout(timeout);
-        self.sleeping.store(false, Ordering::SeqCst);
-        let wake_latency = match self.wake_at_nanos.swap(0, Ordering::SeqCst) {
-            0 => None,
-            at => Some(Duration::from_nanos(self.now_nanos().saturating_sub(at))),
-        };
-        Some(ParkOutcome {
-            slept: parked_at.elapsed(),
-            wake_latency,
-        })
-    }
 }
 
 /// A probe handed to a shard.
@@ -314,14 +207,15 @@ impl FaultLayer {
 }
 
 /// One shard's event loop. Everything here is owned by the loop thread;
-/// the `Arc`s cross threads only for submission (`ring`, `waker`),
-/// control (`shutdown`, `drain`, `exited`) and mergeable observability.
+/// the `Arc`s cross threads only for submission (`ring`, plus the
+/// poller's [`cde_sysio::Waker`]), control (`shutdown`, `drain`,
+/// `exited`) and mergeable observability.
 pub(crate) struct ShardLoop {
     pub(crate) targets: HashMap<Ipv4Addr, SocketAddr>,
-    pub(crate) sockets: Vec<UdpSocket>,
+    /// The shard's sockets and the one place the loop ever blocks.
+    pub(crate) poller: Poller,
     pub(crate) next_socket: usize,
     pub(crate) ring: Arc<MpscRing<Submission>>,
-    pub(crate) waker: Arc<ShardWaker>,
     pub(crate) exited: Arc<AtomicBool>,
     pub(crate) slots: Vec<Option<Pending>>,
     pub(crate) free_slots: Vec<usize>,
@@ -393,7 +287,6 @@ impl ShardLoop {
     }
 
     pub(crate) fn run(mut self) {
-        self.waker.register();
         while !self.shutdown.load(Ordering::SeqCst) {
             let iter_start = Instant::now();
             let mut progress = self.admit();
@@ -426,6 +319,9 @@ impl ShardLoop {
         self.exited.store(true, Ordering::SeqCst);
     }
 
+    /// The timer wheel's clock: whole milliseconds since `start`.
+    /// Deadlines and backoffs are millisecond-scale, so a 1 ms tick
+    /// wastes no precision the wire could deliver.
     fn now_tick(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
@@ -665,12 +561,12 @@ impl ShardLoop {
             return false;
         }
         let mut progress = false;
-        for _ in 0..self.sockets.len() {
+        for _ in 0..self.poller.sockets().len() {
             if self.ready.is_empty() {
                 break;
             }
             let socket_idx = self.next_socket;
-            self.next_socket = (self.next_socket + 1) % self.sockets.len();
+            self.next_socket = (self.next_socket + 1) % self.poller.sockets().len();
             let count = self.ready.len().min(MAX_BATCH);
             let mut batch = [0usize; MAX_BATCH];
             for b in batch.iter_mut().take(count) {
@@ -720,7 +616,8 @@ impl ShardLoop {
                     };
                 }
                 let t_send = self.phase_begin(Phase::SendBatch);
-                let sent = cde_sysio::send_batch(&self.sockets[socket_idx], &items[..count]);
+                let sent =
+                    cde_sysio::send_batch(&self.poller.sockets()[socket_idx], &items[..count]);
                 self.phase_end(Phase::SendBatch, t_send);
                 sent
             };
@@ -804,12 +701,27 @@ impl ShardLoop {
     fn receive(&mut self) -> bool {
         let mut progress = false;
         let mut recv_slots = std::mem::take(&mut self.recv_slots);
-        for socket_idx in 0..self.sockets.len() {
+        for socket_idx in 0..self.poller.sockets().len() {
             loop {
                 let t_recv = self.phase_begin(Phase::RecvBatch);
-                let got =
-                    cde_sysio::recv_batch(&self.sockets[socket_idx], &mut recv_slots).unwrap_or(0);
+                let received =
+                    cde_sysio::recv_batch(&self.poller.sockets()[socket_idx], &mut recv_slots);
                 self.phase_end(Phase::RecvBatch, t_recv);
+                let got = match received {
+                    Ok(got) => got,
+                    Err(_) => {
+                        // A socket that cannot be read may still poll
+                        // ready, and readiness is level-triggered: clear
+                        // a pending SO_ERROR, count the failure, and sit
+                        // this socket out of the next wait so the loop
+                        // falls back to its timer deadline instead of
+                        // spinning on a wake source it cannot drain.
+                        let _ = self.poller.sockets()[socket_idx].take_error();
+                        self.block.record_decode_error();
+                        self.poller.mute_next(socket_idx);
+                        0
+                    }
+                };
                 if got == 0 {
                     break;
                 }
@@ -880,7 +792,7 @@ impl ShardLoop {
                 for copy in copies {
                     let len = copy.truncate_to.unwrap_or(p.bytes.len()).min(p.bytes.len());
                     if copy.delay.is_zero() && len == p.bytes.len() {
-                        let _ = self.sockets[socket_idx].send_to(&p.bytes, p.target);
+                        let _ = self.poller.sockets()[socket_idx].send_to(&p.bytes, p.target);
                     } else {
                         layer.push_out(
                             now_tick + Self::ticks(copy.delay),
@@ -976,7 +888,7 @@ impl ShardLoop {
         let mut progress = false;
         while layer.delayed_out.peek().is_some_and(|d| d.due <= now_tick) {
             let d = layer.delayed_out.pop().expect("peeked");
-            let _ = self.sockets[d.socket].send_to(&d.bytes, d.addr);
+            let _ = self.poller.sockets()[d.socket].send_to(&d.bytes, d.addr);
             progress = true;
         }
         while layer.delayed_in.peek().is_some_and(|d| d.due <= now_tick) {
@@ -1200,34 +1112,45 @@ impl ShardLoop {
         });
     }
 
-    /// Nothing to do right now: park until the next timer, a submission
-    /// (the waker's unpark), or the idle bound — whichever comes first.
+    /// Nothing to do right now: block in the shard's one wait until a
+    /// socket turns readable, a submitter (or drain/shutdown) fires the
+    /// waker, or the next thing this loop scheduled for itself falls due
+    /// — with no deadline at all when nothing is pending.
     fn idle_wait(&mut self) {
-        let wait = if self.occupied == 0 && self.ready.is_empty() {
-            DRAINED_IDLE
-        } else if self.occupied > 0 {
-            // A reply can land any microsecond and nothing wakes this
-            // sleep for it, so its length is pure added RTT. Keep it at
-            // BUSY_IDLE — the 4 ms timer-distance nap here used to
-            // quantize every measured RTT to ~4 ms, drowning the
-            // hit/miss contrast the timing side channel reads.
-            BUSY_IDLE
-        } else {
-            // Only scheduled (unsent) probes: sleep toward their send
-            // timers, nothing inbound can arrive yet.
-            let now = self.now_tick();
-            let ticks_away = self.timers.next_due().map_or(1, |t| t.saturating_sub(now));
-            (TICK * ticks_away.clamp(1, 4) as u32)
-                .min(Duration::from_millis(4))
-                .max(BUSY_IDLE)
-        };
+        // Ticks are milliseconds since `start` (see `now_tick`).
+        let timeout = self.next_due_tick().map(|tick| {
+            (self.start + Duration::from_millis(tick)).saturating_duration_since(Instant::now())
+        });
+        // Queued submissions are work only while a slot is free to admit
+        // them into; with the slab full the loop is waiting on replies.
         let ring = &self.ring;
-        if let Some(outcome) = self.waker.park(|| !ring.is_empty(), wait) {
-            self.block.record_park(outcome.slept);
-            if let Some(latency) = outcome.wake_latency {
-                self.block.record_wake_latency(latency);
-            }
+        let can_admit = !self.free_slots.is_empty();
+        self.block.begin_park();
+        let wake = self.poller.wait(timeout, || can_admit && !ring.is_empty());
+        self.block.end_park(wake.is_some());
+        if let Some(latency) = wake.and_then(|w| w.wake_latency) {
+            self.block.record_wake_latency(latency);
         }
+    }
+
+    /// The earliest tick at which this loop has something to do that no
+    /// outside event will announce: a timer, a fault-layer datagram
+    /// coming out of its delay, or a send the kernel pushed back.
+    fn next_due_tick(&self) -> Option<u64> {
+        let delayed = self.faults.iter().flat_map(|layer| {
+            [&layer.delayed_out, &layer.delayed_in]
+                .into_iter()
+                .filter_map(|pen| pen.peek().map(|d| d.due))
+        });
+        // A full send buffer leaves probes on the ready queue: retry on
+        // the next tick, as `send_batch` asks.
+        let backpressured = (!self.ready.is_empty()).then(|| self.now_tick() + 1);
+        self.timers
+            .next_due()
+            .into_iter()
+            .chain(delayed)
+            .chain(backpressured)
+            .min()
     }
 }
 
@@ -1275,65 +1198,114 @@ mod tests {
         );
     }
 
-    #[test]
-    fn waker_roundtrip_wakes_parked_thread() {
-        let waker = Arc::new(ShardWaker::default());
-        let ready = Arc::new(AtomicBool::new(false));
-        let handle = std::thread::spawn({
-            let waker = Arc::clone(&waker);
-            let ready = Arc::clone(&ready);
-            move || {
-                waker.register();
-                // Park with no work: only the producer's wake (or the
-                // generous timeout) ends this.
-                waker.park(|| ready.load(Ordering::SeqCst), Duration::from_secs(5));
-                ready.load(Ordering::SeqCst)
-            }
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        ready.store(true, Ordering::SeqCst);
-        waker.wake();
-        assert!(handle.join().unwrap(), "parked thread saw the work");
+    /// A shard loop over `sockets`, everything optional switched off.
+    #[cfg(unix)]
+    fn bare_loop(
+        sockets: Vec<std::net::UdpSocket>,
+        target: SocketAddr,
+        policy: RetryPolicy,
+    ) -> ShardLoop {
+        const SLOTS: usize = 4;
+        ShardLoop {
+            targets: HashMap::from([(Ipv4Addr::new(192, 0, 2, 1), target)]),
+            poller: Poller::new(sockets).unwrap(),
+            next_socket: 0,
+            ring: Arc::new(MpscRing::with_capacity(8)),
+            exited: Arc::new(AtomicBool::new(false)),
+            slots: empty_slots(SLOTS),
+            free_slots: (0..SLOTS).rev().collect(),
+            occupied: 0,
+            correlation: HashMap::new(),
+            timers: TimerWheel::new(0),
+            expired: Vec::new(),
+            ready: VecDeque::new(),
+            admitted: Vec::new(),
+            pool: BufferPool::new(128, SLOTS),
+            writer: WireWriter::new(),
+            recv_slots: (0..MAX_BATCH).map(|_| RecvSlot::new()).collect(),
+            policy,
+            limiter: None,
+            rng: DetRng::seed(1),
+            generation: 0,
+            start: Instant::now(),
+            block: Arc::new(MetricsBlock::new()),
+            telemetry: TelemetryHub::disabled(),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            drain: Arc::new(AtomicBool::new(false)),
+            faults: None,
+            insight: None,
+            shard_id: 0,
+            exemplars: None,
+            rto: None,
+            flight: None,
+        }
     }
 
+    /// `/dev/null` dressed as a socket: `poll` reports it readable for
+    /// ever and every receive on it fails with ENOTSOCK — the sickest
+    /// socket there is, from safe code.
+    #[cfg(unix)]
+    fn sick_socket() -> std::net::UdpSocket {
+        std::os::fd::OwnedFd::from(std::fs::File::open("/dev/null").unwrap()).into()
+    }
+
+    #[cfg(unix)]
     #[test]
-    fn waker_skips_park_when_work_arrives_first() {
-        let waker = ShardWaker::default();
-        waker.register();
+    fn unreadable_socket_is_counted_and_cannot_spin_the_blocked_loop() {
+        let healthy = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        healthy.set_nonblocking(true).unwrap();
+        // A target that exists and never answers: the probe's only
+        // future is its 60 ms deadline.
+        let silent = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let timeout = Duration::from_millis(60);
+        let shard = bare_loop(
+            vec![healthy, sick_socket()],
+            silent.local_addr().unwrap(),
+            RetryPolicy {
+                attempts: 1,
+                timeout,
+                backoff: 1.0,
+                base_delay: Duration::from_millis(1),
+                jitter: 0.0,
+            },
+        );
+        let (ring, waker) = (Arc::clone(&shard.ring), shard.poller.waker());
+        let (block, shutdown) = (Arc::clone(&shard.block), Arc::clone(&shard.shutdown));
+        let thread = std::thread::spawn(move || shard.run());
+
+        let (done_tx, done_rx) = crossbeam::channel::unbounded();
         let start = Instant::now();
-        let outcome = waker.park(|| true, Duration::from_secs(5));
-        assert!(start.elapsed() < Duration::from_secs(1));
-        assert!(outcome.is_none(), "skipped park reports no outcome");
-    }
-
-    #[test]
-    fn park_outcome_carries_wake_latency() {
-        let waker = Arc::new(ShardWaker::default());
-        let handle = std::thread::spawn({
-            let waker = Arc::clone(&waker);
-            move || {
-                waker.register();
-                waker.park(|| false, Duration::from_secs(5))
-            }
+        let pushed = ring.push(Submission {
+            token: 9,
+            ingress: Ipv4Addr::new(192, 0, 2, 1),
+            qname: "sick.cache.example".parse().unwrap(),
+            qtype: RecordType::A,
+            done: done_tx,
         });
-        std::thread::sleep(Duration::from_millis(50));
+        assert!(pushed.is_ok());
         waker.wake();
-        let outcome = handle.join().unwrap().expect("the loop really parked");
-        assert!(outcome.slept >= Duration::from_millis(10));
-        let latency = outcome
-            .wake_latency
-            .expect("ended by a wake, not a timeout");
-        assert!(latency < Duration::from_secs(1), "latency {latency:?}");
-    }
-
-    #[test]
-    fn timeout_park_has_no_wake_latency() {
-        let waker = ShardWaker::default();
-        waker.register();
-        let outcome = waker
-            .park(|| false, Duration::from_millis(20))
-            .expect("parked");
-        assert!(outcome.slept >= Duration::from_millis(10));
-        assert!(outcome.wake_latency.is_none());
+        let completion = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the deadline never fired");
+        // The sick socket sat the waits out; the timer still ended them.
+        assert_eq!(completion.reply, TransportReply::TimedOut);
+        assert!(start.elapsed() >= timeout - Duration::from_millis(1));
+        // Idle again, sick socket still "readable": stays blocked.
+        std::thread::sleep(Duration::from_millis(50));
+        let snap = block.snapshot();
+        assert!(
+            snap.decode_errors >= 1,
+            "the receive failure went uncounted"
+        );
+        if cde_sysio::backend() != "fallback" {
+            // Every iteration re-reads the sick socket, fails, and mutes
+            // it for one wait; only real events start an iteration. A
+            // loop spinning on its readiness would do ~10^5 in 110 ms.
+            assert_eq!(snap.decode_errors, snap.loop_count);
+            assert!(snap.loop_count <= 8, "{} iterations", snap.loop_count);
+        }
+        shutdown.store(true, Ordering::SeqCst);
+        waker.force_wake();
+        thread.join().unwrap();
     }
 }

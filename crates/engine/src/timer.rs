@@ -114,6 +114,13 @@ impl<T> TimerWheel<T> {
         mut live: impl FnMut(&T) -> bool,
     ) {
         self.drain_overdue(expired, &mut live);
+        if self.len == 0 {
+            // Nothing to cascade or expire on the way: jump. A loop that
+            // blocks without a deadline while the wheel is empty can
+            // come back any number of ticks later.
+            self.now = self.now.max(now);
+            return;
+        }
         while self.now < now {
             self.now += 1;
             let tick = self.now;
@@ -268,6 +275,24 @@ mod tests {
             assert!(hops < 200, "next_due loops without progress");
         }
         assert_eq!(out, vec![1]);
+    }
+
+    #[test]
+    fn empty_wheel_jumps_any_distance() {
+        let mut w: TimerWheel<u64> = TimerWheel::new(0);
+        // A month of idle ticks: stepping them one by one would take
+        // seconds; an empty wheel has nothing to visit on the way.
+        let month = 30 * 24 * 3600 * 1000;
+        assert!(drain(&mut w, month).is_empty());
+        assert_eq!(w.now(), month);
+        // Scheduling from there behaves like a fresh wheel at that tick.
+        w.schedule(month + 5, 1);
+        w.schedule(month + 500, 2);
+        assert_eq!(w.next_due(), Some(month + 5));
+        assert!(drain(&mut w, month + 4).is_empty());
+        assert_eq!(drain(&mut w, month + 5), vec![1]);
+        assert_eq!(drain(&mut w, month + 500), vec![2]);
+        assert!(w.is_empty());
     }
 
     #[test]

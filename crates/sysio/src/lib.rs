@@ -1,4 +1,5 @@
-//! Batched UDP syscalls for the probe reactor.
+//! The probe reactor's system-call layer: batched UDP I/O and the one
+//! wait its event loops block in.
 //!
 //! A campaign tick wants to hand the kernel a whole burst of datagrams
 //! (and drain a whole burst of replies) per syscall. Linux exposes this
@@ -6,20 +7,28 @@
 //! `CDE_SYSIO_FALLBACK=1` is set — we degrade to a loop of one-datagram
 //! `send_to`/`recv_from` calls with identical semantics.
 //!
-//! This is deliberately the *only* crate in the workspace that contains
-//! `unsafe` code (the FFI structs and calls live in [`mmsg`], the
-//! SIGUSR1 latch in [`signal`], and the lock-free submission ring in
-//! [`MpscRing`]); every other crate keeps `#![forbid(unsafe_code)]`.
+//! Between bursts a loop has to wait for whichever comes first of a
+//! reply, a submission from another thread, or its next timer. A
+//! [`Poller`] owns the loop's sockets and blocks on them and a
+//! [`Waker`] in one `ppoll(2)` call with a sub-millisecond timeout; the
+//! portable backend degrades to a bounded thread park (see [`poll`]).
 //!
-//! All functions assume a non-blocking socket: "nothing to do right now"
-//! is reported as `Ok(0)`, never as an `Err(WouldBlock)` the caller has
-//! to pattern-match.
+//! This is deliberately the *only* crate in the workspace that contains
+//! `unsafe` code (the FFI structs and calls live in [`mmsg`] and
+//! [`poll`], the SIGUSR1 latch in [`signal`], and the lock-free
+//! submission ring in [`MpscRing`]); every other crate keeps
+//! `#![forbid(unsafe_code)]`.
+//!
+//! The batch functions assume a non-blocking socket: "nothing to do
+//! right now" is reported as `Ok(0)`, never as an `Err(WouldBlock)` the
+//! caller has to pattern-match.
 //!
 //! # Examples
 //!
 //! ```
-//! use cde_sysio::{recv_batch, send_batch, RecvSlot, SendItem};
+//! use cde_sysio::{recv_batch, send_batch, Poller, RecvSlot, SendItem};
 //! use std::net::{SocketAddrV4, UdpSocket};
+//! use std::time::Duration;
 //!
 //! # fn main() -> std::io::Result<()> {
 //! let a = UdpSocket::bind("127.0.0.1:0")?;
@@ -35,10 +44,12 @@
 //! assert_eq!(sent, 1);
 //!
 //! let mut slots = vec![RecvSlot::new()];
-//! // Non-blocking: poll until the datagram lands.
+//! // Block until the datagram lands, then drain it without blocking.
+//! let mut poller = Poller::new(vec![b])?;
 //! let mut got = 0;
 //! while got == 0 {
-//!     got = recv_batch(&b, &mut slots)?;
+//!     poller.wait(Some(Duration::from_secs(1)), || false);
+//!     got = recv_batch(&poller.sockets()[0], &mut slots)?;
 //! }
 //! assert_eq!(slots[0].bytes(), b"ping");
 //! # Ok(())
@@ -53,9 +64,11 @@ use std::sync::OnceLock;
 
 #[cfg(target_os = "linux")]
 mod mmsg;
+pub mod poll;
 mod ring;
 pub mod signal;
 
+pub use poll::{Poller, Wake, Waker};
 pub use ring::MpscRing;
 pub use signal::{take_sigusr1, watch_sigusr1};
 
