@@ -1,7 +1,7 @@
 # Convenience targets; everything builds offline from vendored deps
 # (third_party/, see README "Offline builds").
 
-.PHONY: build test test-fallback chaos bench-smoke bench-json bench-check timing-check analyze-smoke serve-smoke forensics-smoke lint
+.PHONY: build test test-fallback chaos bench-smoke benchmark-smoke bench-json bench-check timing-check analyze-smoke serve-smoke forensics-smoke lint
 
 build:
 	cargo build --release --locked
@@ -22,6 +22,16 @@ test-fallback:
 # the bench harnesses (the zero-alloc wire bench asserts its property).
 bench-smoke:
 	cargo bench -p cde-bench --locked -- --test
+
+# The repo benchmark (benchmark/, BENCHMARK.json) is what a performance
+# change is judged on, and it is its own cargo package that `build` and
+# `test` never see: run its harness's unit tests, then one short
+# workload end to end. run.sh exits non-zero unless every self-check of
+# the run is ok. Both share the repository's target directory, so the
+# dependencies build once.
+benchmark-smoke:
+	CARGO_TARGET_DIR=target cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+	bash benchmark/run.sh --only paced_rtt --seconds 4
 
 # Blocking-vs-reactor campaign throughput at 1k/10k probes over real
 # loopback UDP, plus the 1/2/4/8-shard scaling curve; writes

@@ -101,7 +101,14 @@ pub struct MetricsBlock {
     ring_depth: AtomicU64,
     /// High-water mark of the submission-ring occupancy.
     ring_depth_peak: AtomicU64,
-    /// Times the shard parked (blocked in its idle wait) for work.
+    /// Receive calls the shard made (`recv_batch`, one per socket read).
+    recv_calls: AtomicU64,
+    /// Receive calls that returned no datagram — attempted minus useful.
+    recv_empty: AtomicU64,
+    /// Waits the shard entered: times its loop really blocked in the
+    /// poller (a wait skipped for queued work is not one). A loop with
+    /// a readiness-reporting poller enters one after every pass that
+    /// leaves nothing queued, busy or idle.
     parks: AtomicU64,
     /// Time spent parked, *including the wait in progress*, packed into
     /// one word so a reader never sees a wait both finished and still
@@ -233,6 +240,15 @@ impl MetricsBlock {
         self.ring_depth_peak.fetch_max(n, Ordering::Relaxed);
     }
 
+    /// Records one receive call that returned `got` datagrams (a failed
+    /// call counts as returning none).
+    pub fn record_recv_batch(&self, got: usize) {
+        self.recv_calls.fetch_add(1, Ordering::Relaxed);
+        if got == 0 {
+            self.recv_empty.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Records one finished park of `slept` spent waiting for work.
     pub fn record_park(&self, slept: Duration) {
         self.parks.fetch_add(1, Ordering::Relaxed);
@@ -335,6 +351,8 @@ impl MetricsBlock {
             slab_capacity: self.slab_capacity.load(Ordering::Relaxed),
             ring_depth: self.ring_depth.load(Ordering::Relaxed),
             ring_depth_peak: self.ring_depth_peak.load(Ordering::Relaxed),
+            recv_calls: self.recv_calls.load(Ordering::Relaxed),
+            recv_empty: self.recv_empty.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             parked_us: {
                 // Clock first: a wait that ends between the two reads
@@ -517,6 +535,11 @@ impl EngineMetrics {
         self.blocks[0].set_ring_depth(n);
     }
 
+    /// Records one receive call that returned `got` datagrams.
+    pub fn record_recv_batch(&self, got: usize) {
+        self.blocks[0].record_recv_batch(got);
+    }
+
     /// Records one park of `slept` spent waiting for work.
     pub fn record_park(&self, slept: Duration) {
         self.blocks[0].record_park(slept);
@@ -604,7 +627,12 @@ pub struct MetricsSnapshot {
     /// Highest submission-ring occupancy seen (summed per-shard peaks
     /// when merged).
     pub ring_depth_peak: u64,
-    /// Times the reactor loop parked waiting for work.
+    /// Receive calls made, one per socket read.
+    pub recv_calls: u64,
+    /// Receive calls that returned no datagram.
+    pub recv_empty: u64,
+    /// Waits the reactor loop entered (times it really blocked in its
+    /// poller; see [`MetricsBlock`]).
     pub parks: u64,
     /// Total time spent parked, in microseconds.
     pub parked_us: u64,
@@ -666,6 +694,8 @@ impl MetricsSnapshot {
         self.slab_capacity += other.slab_capacity;
         self.ring_depth += other.ring_depth;
         self.ring_depth_peak += other.ring_depth_peak;
+        self.recv_calls += other.recv_calls;
+        self.recv_empty += other.recv_empty;
         self.parks += other.parks;
         self.parked_us += other.parked_us;
         self.unparks += other.unparks;
@@ -931,6 +961,16 @@ fn collect_snapshot(s: &MetricsSnapshot, shard: Option<u64>, out: &mut Vec<Metri
         s.ring_depth_peak as f64,
     )));
     out.push(label(Metric::counter(
+        "cde_engine_recv_batches_total",
+        "Receive calls the reactor loop made, one per socket read",
+        s.recv_calls,
+    )));
+    out.push(label(Metric::counter(
+        "cde_engine_recv_empty_total",
+        "Receive calls that returned no datagram",
+        s.recv_empty,
+    )));
+    out.push(label(Metric::counter(
         "cde_engine_parks_total",
         "Times the reactor loop parked waiting for work",
         s.parks,
@@ -1077,7 +1117,11 @@ mod tests {
         m.record_send_batch(0); // ignored
         m.record_loop_iteration(Duration::from_micros(100));
         m.record_loop_iteration(Duration::from_micros(300));
+        m.record_recv_batch(5);
+        m.record_recv_batch(0);
+        m.record_recv_batch(32);
         let s = m.snapshot();
+        assert_eq!((s.recv_calls, s.recv_empty), (3, 1));
         assert_eq!(s.in_flight, 2);
         assert_eq!(s.in_flight_peak, 9);
         assert_eq!(s.stray_replies, 1);

@@ -89,7 +89,7 @@ pub struct LoopbackResolver {
     obs_rx: Receiver<Observation>,
     obs_dropped: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
-    /// Ends the serving thread's idle wait so `Drop` joins promptly.
+    /// Ends the serving thread's wait so `Drop` joins promptly.
     waker: Waker,
     handle: Option<JoinHandle<()>>,
 }
@@ -266,13 +266,18 @@ fn run(
     while !shutdown.load(Ordering::SeqCst) {
         // Zone edits first, so a snapshot pushed before a probe arrives is
         // always visible to that probe's resolution: the probe's datagram
-        // is what ends the idle wait below, and this drain runs before
-        // the sweep that reads it.
+        // is what ends the wait below, and this drain runs before the
+        // read that wait points at.
         while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
             net = snapshot;
         }
-        let mut idle = true;
-        for (ingress, socket) in ingresses.iter().zip(poller.sockets()) {
+        let mut served = false;
+        for (i, (ingress, socket)) in ingresses.iter().zip(poller.sockets()).enumerate() {
+            // Only the ingresses the last wait reported — all of them
+            // when it could not say (see `Poller::ready`).
+            if !poller.ready(i) {
+                continue;
+            }
             // Drain a whole burst per pass: batched senders deliver many
             // datagrams between two polls of this loop.
             for _ in 0..RECV_BURST {
@@ -281,7 +286,7 @@ fn run(
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(_) => break,
                 };
-                idle = false;
+                served = true;
                 handle_datagram(
                     &mut platform,
                     &mut net,
@@ -297,11 +302,11 @@ fn run(
                 );
             }
         }
-        if idle {
-            // Nothing queued on any ingress: block until a query lands
-            // (or `Drop` fires the waker).
-            poller.wait(None, || false);
-        }
+        // Block until a query lands (or `Drop` fires the waker). What a
+        // capped burst left queued ends the wait at once; a poller blind
+        // to its sockets would nap on it, so sweep again instead.
+        let sweep_again = served && !poller.sees_sockets();
+        poller.wait(None, || sweep_again);
     }
 }
 

@@ -303,13 +303,7 @@ impl ShardLoop {
             if self.drain.load(Ordering::SeqCst) && self.occupied == 0 && self.ring.is_empty() {
                 break;
             }
-            if progress {
-                // Busy: stay hot, but let serving threads run on small
-                // machines.
-                std::thread::yield_now();
-            } else {
-                self.idle_wait();
-            }
+            self.wait(progress);
         }
         // Final gauge flush so a post-shutdown scrape reflects the
         // drained state instead of the last mid-flight sample.
@@ -697,11 +691,18 @@ impl ShardLoop {
         progress
     }
 
-    /// Drains every socket's receive queue in batches and correlates.
+    /// Drains, in batches, the receive queue of every socket the last
+    /// wait reported — every socket, when it could not say (see
+    /// [`Poller::ready`]) — and correlates. A datagram that lands on
+    /// any other socket meanwhile is not lost to this: readiness is
+    /// level-triggered, so it ends the wait this pass is about to enter.
     fn receive(&mut self) -> bool {
         let mut progress = false;
         let mut recv_slots = std::mem::take(&mut self.recv_slots);
         for socket_idx in 0..self.poller.sockets().len() {
+            if !self.poller.ready(socket_idx) {
+                continue;
+            }
             loop {
                 let t_recv = self.phase_begin(Phase::RecvBatch);
                 let received =
@@ -722,6 +723,7 @@ impl ShardLoop {
                         0
                     }
                 };
+                self.block.record_recv_batch(got);
                 if got == 0 {
                     break;
                 }
@@ -1112,11 +1114,14 @@ impl ShardLoop {
         });
     }
 
-    /// Nothing to do right now: block in the shard's one wait until a
-    /// socket turns readable, a submitter (or drain/shutdown) fires the
-    /// waker, or the next thing this loop scheduled for itself falls due
-    /// — with no deadline at all when nothing is pending.
-    fn idle_wait(&mut self) {
+    /// Where every pass ends, and the only place the loop learns which
+    /// sockets to read: the shard's one wait, over until a socket turns
+    /// readable, a submitter (or drain/shutdown) fires the waker, or the
+    /// next thing this loop scheduled for itself falls due — with no
+    /// deadline at all when nothing is pending. Readiness is
+    /// level-triggered, so after a pass that left datagrams queued the
+    /// wait is over at once and names their sockets.
+    fn wait(&mut self, progress: bool) {
         // Ticks are milliseconds since `start` (see `now_tick`).
         let timeout = self.next_due_tick().map(|tick| {
             (self.start + Duration::from_millis(tick)).saturating_duration_since(Instant::now())
@@ -1125,11 +1130,23 @@ impl ShardLoop {
         // them into; with the slab full the loop is waiting on replies.
         let ring = &self.ring;
         let can_admit = !self.free_slots.is_empty();
+        // A poller blind to its sockets would nap on whatever a pass
+        // that found datagrams left behind: sweep again instead.
+        let sweep_again = progress && !self.poller.sees_sockets();
         self.block.begin_park();
-        let wake = self.poller.wait(timeout, || can_admit && !ring.is_empty());
+        let wake = self
+            .poller
+            .wait(timeout, || sweep_again || (can_admit && !ring.is_empty()));
         self.block.end_park(wake.is_some());
-        if let Some(latency) = wake.and_then(|w| w.wake_latency) {
-            self.block.record_wake_latency(latency);
+        match wake {
+            Some(wake) => {
+                if let Some(latency) = wake.wake_latency {
+                    self.block.record_wake_latency(latency);
+                }
+            }
+            // Work was already queued: stay hot, but let serving
+            // threads run on small machines.
+            None => std::thread::yield_now(),
         }
     }
 
@@ -1298,10 +1315,22 @@ mod tests {
             "the receive failure went uncounted"
         );
         if cde_sysio::backend() != "fallback" {
-            // Every iteration re-reads the sick socket, fails, and mutes
-            // it for one wait; only real events start an iteration. A
-            // loop spinning on its readiness would do ~10^5 in 110 ms.
-            assert_eq!(snap.decode_errors, snap.loop_count);
+            // A pass that reads the sick socket fails and mutes it for
+            // one wait; the wait after that one reports it again and is
+            // over at once. So passes alternate between reading it and
+            // not, two per real event (start-up, the submission, the
+            // deadline). A loop spinning on its readiness would do
+            // ~10^5 in 110 ms.
+            assert!(
+                snap.decode_errors >= 2,
+                "the sick socket was never read again"
+            );
+            assert!(
+                snap.loop_count <= 2 * snap.decode_errors,
+                "{} iterations for {} failed reads",
+                snap.loop_count,
+                snap.decode_errors
+            );
             assert!(snap.loop_count <= 8, "{} iterations", snap.loop_count);
         }
         shutdown.store(true, Ordering::SeqCst);

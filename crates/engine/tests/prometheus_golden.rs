@@ -2,13 +2,13 @@
 //!
 //! Feeds a deterministic script of observations into every collector the
 //! reactor registers — [`EngineMetrics`] (including the shard-runtime
-//! series: ring depth, parks, wake latency, duty cycle), the per-target
-//! RTT digests, the phase profiler and a [`Pulse`] health engine with an
-//! exemplar reservoir — and compares the rendered exposition byte for
-//! byte against `tests/golden/metrics.prom`. Any change to a family
-//! name, help string, label, bucket edge or cumulative-histogram shape
-//! (`_bucket`/`_sum`/`_count`) shows up as a reviewable golden diff
-//! instead of a silent dashboard break.
+//! series: ring depth, receive calls, parks, wake latency, duty cycle),
+//! the per-target RTT digests, the phase profiler and a [`Pulse`] health
+//! engine with an exemplar reservoir — and compares the rendered
+//! exposition byte for byte against `tests/golden/metrics.prom`. Any
+//! change to a family name, help string, label, bucket edge or
+//! cumulative-histogram shape (`_bucket`/`_sum`/`_count`) shows up as a
+//! reviewable golden diff instead of a silent dashboard break.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -48,6 +48,8 @@ fn prometheus_exposition_matches_golden() {
     metrics.record_send_batch(3);
     metrics.record_send_batch(16);
     metrics.record_loop_iteration(Duration::from_micros(80));
+    metrics.record_recv_batch(3);
+    metrics.record_recv_batch(0);
     metrics.set_wheel_pending(2);
     metrics.set_slab_capacity(512);
     metrics.set_ring_depth(12);
@@ -124,6 +126,8 @@ fn prometheus_exposition_matches_golden() {
     for family in [
         "cde_engine_ring_depth",
         "cde_engine_ring_depth_peak",
+        "cde_engine_recv_batches_total",
+        "cde_engine_recv_empty_total",
         "cde_engine_parks_total",
         "cde_engine_parked_us_total",
         "cde_engine_unparks_total",

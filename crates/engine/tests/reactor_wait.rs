@@ -10,6 +10,11 @@
 //! native backend only; under `CDE_SYSIO_FALLBACK=1` the same test runs
 //! with the portable backend's documented bound instead.
 //!
+//! The wait is also where the loop learns which sockets to read. The
+//! last three tests count what it does with that — passes and receive
+//! calls per probe — and check that a reply on a socket the wait did
+//! not name is picked up by the next one rather than stranded.
+//!
 //! Lower bounds ("never early", iteration counts) are hard assertions.
 //! Upper bounds on elapsed time can be broken by a shared runner
 //! descheduling a thread for tens of milliseconds, so each timed
@@ -29,6 +34,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const INGRESS: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+
+/// What the loop may add to a round trip at the 80th percentile, µs:
+/// its own work plus scheduling noise on a shared runner.
+const MARGIN_US: u64 = 150;
+
+/// [`MARGIN_US`] on the native backend; the portable one cannot see a
+/// reply land, so its pickup is bounded by its nap on top.
+fn pickup_bound_us() -> u64 {
+    if readiness_driven() {
+        MARGIN_US
+    } else {
+        MARGIN_US + cde_sysio::poll::FALLBACK_NAP.as_micros() as u64
+    }
+}
 
 /// Whether the wait can see a datagram land (see the module docs).
 fn readiness_driven() -> bool {
@@ -55,7 +74,11 @@ struct Responder {
 }
 
 impl Responder {
-    fn launch(hold: fn(usize) -> Duration) -> Responder {
+    /// Runs `serve(socket, stop, arrivals)` on a thread of its own. The
+    /// socket's reads time out every 50 ms so `stop` is seen.
+    fn spawn(
+        serve: impl FnOnce(UdpSocket, &AtomicBool, &Mutex<Vec<Instant>>) + Send + 'static,
+    ) -> Responder {
         let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         socket
             .set_read_timeout(Some(Duration::from_millis(50)))
@@ -66,36 +89,7 @@ impl Responder {
         let thread = std::thread::spawn({
             let stop = Arc::clone(&stop);
             let arrivals = Arc::clone(&arrivals);
-            move || {
-                let mut buf = [0u8; 2048];
-                let mut served = 0;
-                while !stop.load(Ordering::SeqCst) {
-                    let Ok((len, peer)) = socket.recv_from(&mut buf) else {
-                        continue;
-                    };
-                    let arrived = Instant::now();
-                    arrivals.lock().unwrap().push(arrived);
-                    let hold = hold(served);
-                    served += 1;
-                    let Ok(query) = Message::decode(&buf[..len]) else {
-                        continue;
-                    };
-                    let reply = Message::response_to(&query).encode().unwrap();
-                    // Sleep through most of the hold (a responder that
-                    // spins through all of it takes a core from the loop
-                    // under test on a two-core runner), then spin the
-                    // last stretch: the hold has to be the same to a few
-                    // microseconds for both clients it is compared
-                    // across.
-                    if let Some(coarse) = hold.checked_sub(Duration::from_micros(300)) {
-                        std::thread::sleep(coarse);
-                    }
-                    while arrived.elapsed() < hold {
-                        std::hint::spin_loop();
-                    }
-                    let _ = socket.send_to(&reply, peer);
-                }
-            }
+            move || serve(socket, &stop, &arrivals)
         });
         Responder {
             addr,
@@ -103,6 +97,61 @@ impl Responder {
             stop,
             thread: Some(thread),
         }
+    }
+
+    fn launch(hold: fn(usize) -> Duration) -> Responder {
+        Responder::spawn(move |socket, stop, arrivals| {
+            let mut buf = [0u8; 2048];
+            let mut served = 0;
+            while !stop.load(Ordering::SeqCst) {
+                let Ok((len, peer)) = socket.recv_from(&mut buf) else {
+                    continue;
+                };
+                let arrived = Instant::now();
+                arrivals.lock().unwrap().push(arrived);
+                let hold = hold(served);
+                served += 1;
+                let Ok(query) = Message::decode(&buf[..len]) else {
+                    continue;
+                };
+                let reply = Message::response_to(&query).encode().unwrap();
+                // Sleep through most of the hold (a responder that
+                // spins through all of it takes a core from the loop
+                // under test on a two-core runner), then spin the
+                // last stretch: the hold has to be the same to a few
+                // microseconds for both clients it is compared
+                // across.
+                if let Some(coarse) = hold.checked_sub(Duration::from_micros(300)) {
+                    std::thread::sleep(coarse);
+                }
+                while arrived.elapsed() < hold {
+                    std::hint::spin_loop();
+                }
+                let _ = socket.send_to(&reply, peer);
+            }
+        })
+    }
+
+    /// Answers each query the moment the *next* one arrives — and the
+    /// last one once a whole read timeout has gone by in silence.
+    fn launch_one_behind() -> Responder {
+        Responder::spawn(|socket, stop, arrivals| {
+            let mut buf = [0u8; 2048];
+            let mut held: Option<(Vec<u8>, SocketAddr)> = None;
+            while !stop.load(Ordering::SeqCst) {
+                let query = socket.recv_from(&mut buf).ok();
+                if query.is_some() {
+                    arrivals.lock().unwrap().push(Instant::now());
+                }
+                if let Some((reply, peer)) = held.take() {
+                    let _ = socket.send_to(&reply, peer);
+                }
+                held = query.and_then(|(len, peer)| {
+                    let query = Message::decode(&buf[..len]).ok()?;
+                    Some((Message::response_to(&query).encode().unwrap(), peer))
+                });
+            }
+        })
     }
 
     fn arrivals(&self) -> Vec<Instant> {
@@ -136,6 +185,19 @@ fn submit(reactor: &Reactor, token: u64, done: &Sender<ProbeCompletion>) {
 fn complete(done: &Receiver<ProbeCompletion>) -> ProbeCompletion {
     done.recv_timeout(Duration::from_secs(10))
         .expect("probe never completed")
+}
+
+/// The next completion's reported round trip, µs; panics unless it is
+/// probe `token`, answered.
+fn answered_rtt_us(done: &Receiver<ProbeCompletion>, token: u64) -> u64 {
+    let completion = complete(done);
+    assert_eq!(completion.token, token);
+    match completion.reply {
+        TransportReply::Answered {
+            latency: Some(l), ..
+        } => l.as_micros(),
+        other => panic!("probe {token}: {other:?}"),
+    }
 }
 
 /// Runs a timed scenario up to three times; passes on the first `Ok`.
@@ -236,7 +298,6 @@ fn idle_reactor_does_not_iterate_and_drops_promptly() {
 #[test]
 fn reported_rtt_is_within_a_margin_of_a_blocking_ping() {
     const PROBES: usize = 120;
-    const MARGIN_US: u64 = 150;
     // Both clients send whole multiples of the 8-step schedule, so probe
     // `i` of either is held `hold(i)`.
     fn hold(n: usize) -> Duration {
@@ -263,13 +324,7 @@ fn reported_rtt_is_within_a_margin_of_a_blocking_ping() {
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
     let mut buf = [0u8; 2048];
-    let bound = if readiness_driven() {
-        MARGIN_US
-    } else {
-        // The portable backend cannot see the reply land; its pickup is
-        // bounded by its nap instead.
-        MARGIN_US + cde_sysio::poll::FALLBACK_NAP.as_micros() as u64
-    };
+    let bound = pickup_bound_us();
     within_three_tries(|| {
         let blocking = added((0..PROBES).map(|i| {
             let question = cde_dns::Question::new(qname(i), RecordType::A);
@@ -281,12 +336,7 @@ fn reported_rtt_is_within_a_margin_of_a_blocking_ping() {
         }));
         let reported = added((0..PROBES).map(|i| {
             submit(&reactor, i as u64, &done_tx);
-            match complete(&done_rx).reply {
-                TransportReply::Answered {
-                    latency: Some(l), ..
-                } => l.as_micros(),
-                other => panic!("probe {i}: {other:?}"),
-            }
+            answered_rtt_us(&done_rx, i as u64)
         }));
         if reported <= blocking + bound {
             Ok(())
@@ -393,4 +443,123 @@ fn fault_layer_delays_release_on_their_tick_with_nothing_else_waking_the_loop() 
             Duration::from_millis(5),
         )
     });
+}
+
+/// The wait names the sockets to read, so a paced probe costs the loop
+/// two passes (submission → send, reply → match) and one receive call,
+/// however many sockets the shard owns. A loop that sweeps every socket
+/// on every pass, and follows each productive pass with an empty one
+/// before it may block, does ~3.3 passes and ~26 calls here.
+#[test]
+fn paced_probe_costs_two_passes_and_one_receive_call() {
+    const PROBES: u64 = 200;
+    let responder = Responder::launch(|_| Duration::from_millis(1));
+    let reactor = launch(
+        responder.addr,
+        ReactorConfig {
+            shards: 1,
+            ..ReactorConfig::with_policy(policy(1, 500), 19)
+        },
+    );
+    let (done_tx, done_rx) = unbounded();
+    // The loop's first pass knows nothing yet and sweeps: let it go by.
+    std::thread::sleep(Duration::from_millis(50));
+    let before = reactor.metrics().snapshot();
+    for token in 0..PROBES {
+        submit(&reactor, token, &done_tx);
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    for _ in 0..PROBES {
+        assert!(matches!(
+            complete(&done_rx).reply,
+            TransportReply::Answered { .. }
+        ));
+    }
+    let after = reactor.metrics().snapshot();
+    let passes = after.loop_count - before.loop_count;
+    let calls = after.recv_calls - before.recv_calls;
+    let empty = after.recv_empty - before.recv_empty;
+    // A call that returned anything returned at least one of the replies.
+    assert!(calls - empty <= PROBES, "{calls} calls, {empty} empty");
+    if readiness_driven() {
+        assert!(2 * calls <= 3 * PROBES, "{calls} receive calls");
+        assert!(2 * passes <= 5 * PROBES, "{passes} passes");
+        assert!(
+            empty as f64 <= 0.35 * calls as f64,
+            "{empty} of {calls} receive calls came back empty"
+        );
+    }
+}
+
+/// Replies that land on a socket the wait did not name, while the loop
+/// is in a pass that has work of its own: probe k is answered the moment
+/// probe k+1 reaches the responder, so its reply arrives — on another
+/// socket of the rotation — as the loop finishes the pass that sent
+/// k+1, a pass begun by the waker with no socket to read. Nothing but
+/// the next wait can hand that reply to the loop; a loop that slept on
+/// it would report the 2 ms to the next submission as round-trip time,
+/// and leave the last reply to its 2 s deadline.
+#[test]
+fn reply_on_an_unreported_socket_during_a_productive_pass_is_not_stranded() {
+    const PROBES: usize = 120;
+    within_three_tries(|| {
+        let responder = Responder::launch_one_behind();
+        let reactor = launch(
+            responder.addr,
+            ReactorConfig {
+                shards: 1,
+                sockets: 4,
+                ..ReactorConfig::with_policy(policy(1, 2000), 23)
+            },
+        );
+        let (done_tx, done_rx) = unbounded();
+        let mut rtts = Vec::with_capacity(PROBES);
+        for i in 0..PROBES {
+            submit(&reactor, i as u64, &done_tx);
+            if let Some(answered) = i.checked_sub(1) {
+                rtts.push(answered_rtt_us(&done_rx, answered as u64));
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // The last one waits out the responder's 50 ms of silence.
+        answered_rtt_us(&done_rx, PROBES as u64 - 1);
+        assert_eq!(reactor.metrics().snapshot().timeouts, 0);
+        // Probe k was held from its own arrival until probe k+1's.
+        let arrivals = responder.arrivals();
+        let added = p80(rtts
+            .iter()
+            .zip(arrivals.windows(2))
+            .map(|(rtt, pair)| rtt.saturating_sub((pair[1] - pair[0]).as_micros() as u64))
+            .collect());
+        if added <= pickup_bound_us() {
+            Ok(())
+        } else {
+            Err(format!("p80 added to the hold: {added} µs"))
+        }
+    });
+}
+
+#[test]
+fn wait_ended_by_the_waker_or_a_timer_reads_no_socket() {
+    // A target that exists and never answers: the probe's life is one
+    // wake by the submitter and one by its 50 ms deadline.
+    let silent = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let reactor = launch(
+        silent.local_addr().unwrap(),
+        ReactorConfig {
+            shards: 1,
+            ..ReactorConfig::with_policy(policy(1, 50), 29)
+        },
+    );
+    let (done_tx, done_rx) = unbounded();
+    std::thread::sleep(Duration::from_millis(50));
+    let before = reactor.metrics().snapshot();
+    submit(&reactor, 0, &done_tx);
+    assert_eq!(complete(&done_rx).reply, TransportReply::TimedOut);
+    // Sent, so the waker's pass ran; timed out, so the timer's did.
+    let after = reactor.metrics().snapshot();
+    assert_eq!(after.sent - before.sent, 1);
+    if readiness_driven() {
+        assert_eq!(after.recv_calls, before.recv_calls);
+    }
 }

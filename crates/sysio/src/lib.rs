@@ -344,6 +344,79 @@ mod tests {
         assert_eq!(slots[0].bytes(), b"xyz");
     }
 
+    thread_local! {
+        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Counts heap allocations per thread, so a test can say the code it
+    /// ran made none whatever the tests beside it are doing.
+    struct CountingAllocator;
+
+    // SAFETY: every call goes to `System` unchanged; the only addition
+    // is a thread-local counter with a const initialiser and no
+    // destructor, which neither allocates nor can be re-entered.
+    unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            // SAFETY: the caller's obligations for `alloc` are `System`'s.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAllocator = CountingAllocator;
+
+    /// The syscall seam sits on the reactor's zero-alloc hot path: once
+    /// the caller's slots exist, a send + receive round touches the heap
+    /// on neither backend.
+    #[test]
+    fn warm_batch_round_allocates_nothing() {
+        type Send = fn(&UdpSocket, &[SendItem<'_>]) -> io::Result<usize>;
+        type Recv = fn(&UdpSocket, &mut [RecvSlot]) -> io::Result<usize>;
+        let mut backends: Vec<(&str, Send, Recv)> =
+            vec![("fallback", fallback::send_batch, fallback::recv_batch)];
+        #[cfg(target_os = "linux")]
+        backends.push(("mmsg", mmsg::send_batch, mmsg::recv_batch));
+        for (name, send, recv) in backends {
+            let (a, b, dest) = pair();
+            let payload = [7u8; 24];
+            let items = [SendItem {
+                payload: &payload,
+                dest,
+            }; 8];
+            let mut slots: Vec<RecvSlot> = (0..8).map(|_| RecvSlot::new()).collect();
+            // Loopback delivery is synchronous: what `send` accepted is
+            // queued on `b` when it returns. The first round is the
+            // warm-up; the second is the one counted.
+            for counted in [false, true] {
+                let before = ALLOCATIONS.with(std::cell::Cell::get);
+                assert_eq!(send(&a, &items).unwrap(), 8, "{name}");
+                assert_eq!(recv(&b, &mut slots).unwrap(), 8, "{name}");
+                let allocated = ALLOCATIONS.with(std::cell::Cell::get) - before;
+                if counted {
+                    assert_eq!(allocated, 0, "{name}: allocations in a warm round");
+                }
+            }
+            assert_eq!(slots[7].bytes(), &payload[..]);
+        }
+    }
+
     #[test]
     fn empty_batches_are_noops() {
         let (a, _b, _dest) = pair();

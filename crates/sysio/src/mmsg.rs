@@ -84,6 +84,24 @@ struct MMsgHdr {
     len: u32,
 }
 
+impl MMsgHdr {
+    /// All zeroes and nulls: what the unused tail of a batch's header
+    /// array holds. The headers live on the stack beside the arrays they
+    /// point into — a batched call allocates nothing.
+    const EMPTY: MMsgHdr = MMsgHdr {
+        hdr: MsgHdr {
+            name: std::ptr::null_mut(),
+            namelen: 0,
+            iov: std::ptr::null_mut(),
+            iovlen: 0,
+            control: std::ptr::null_mut(),
+            controllen: 0,
+            flags: 0,
+        },
+        len: 0,
+    };
+}
+
 extern "C" {
     fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
     fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
@@ -100,7 +118,7 @@ pub fn send_batch(sock: &UdpSocket, items: &[SendItem<'_>]) -> io::Result<usize>
         base: std::ptr::null_mut(),
         len: 0,
     });
-    let mut hdrs: Vec<MMsgHdr> = Vec::with_capacity(items.len());
+    let mut hdrs = [MMsgHdr::EMPTY; super::MAX_BATCH];
     for (i, item) in items.iter().enumerate() {
         addrs[i] = SockAddrIn::from_v4(item.dest);
         iovecs[i] = IoVec {
@@ -109,7 +127,7 @@ pub fn send_batch(sock: &UdpSocket, items: &[SendItem<'_>]) -> io::Result<usize>
             base: item.payload.as_ptr() as *mut u8,
             len: item.payload.len(),
         };
-        hdrs.push(MMsgHdr {
+        hdrs[i] = MMsgHdr {
             hdr: MsgHdr {
                 name: &mut addrs[i],
                 namelen: std::mem::size_of::<SockAddrIn>() as u32,
@@ -120,16 +138,17 @@ pub fn send_batch(sock: &UdpSocket, items: &[SendItem<'_>]) -> io::Result<usize>
                 flags: 0,
             },
             len: 0,
-        });
+        };
     }
-    // SAFETY: every pointer in `hdrs` targets a live stack/heap slot
-    // (`addrs`, `iovecs`, the caller's payloads) that outlives the call;
-    // vlen equals hdrs.len(); the fd is a valid UDP socket.
+    // SAFETY: every pointer in the first `items.len()` headers — all
+    // that vlen lets the kernel touch — targets a live stack slot
+    // (`addrs`, `iovecs`) or one of the caller's payloads, and all of
+    // them outlive the call; the fd is a valid UDP socket.
     let rc = unsafe {
         sendmmsg(
             sock.as_raw_fd(),
             hdrs.as_mut_ptr(),
-            hdrs.len() as u32,
+            items.len() as u32,
             MSG_DONTWAIT,
         )
     };
@@ -150,7 +169,7 @@ pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize>
         base: std::ptr::null_mut(),
         len: 0,
     });
-    let mut hdrs: Vec<MMsgHdr> = Vec::with_capacity(slots.len());
+    let mut hdrs = [MMsgHdr::EMPTY; super::MAX_BATCH];
     for (i, slot) in slots.iter_mut().enumerate() {
         slot.reset();
         let buf = slot.buf_mut();
@@ -158,7 +177,7 @@ pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize>
             base: buf.as_mut_ptr(),
             len: buf.len(),
         };
-        hdrs.push(MMsgHdr {
+        hdrs[i] = MMsgHdr {
             hdr: MsgHdr {
                 name: &mut addrs[i],
                 namelen: std::mem::size_of::<SockAddrIn>() as u32,
@@ -169,16 +188,17 @@ pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize>
                 flags: 0,
             },
             len: 0,
-        });
+        };
     }
-    // SAFETY: as in send_batch — all pointers are to live buffers that
-    // outlive the call, vlen matches, null timeout means "no timeout"
-    // (we pass MSG_DONTWAIT so the call never blocks).
+    // SAFETY: as in send_batch — the first `slots.len()` headers point
+    // at live buffers that outlive the call and vlen stops the kernel
+    // there; a null timeout means "no timeout" (we pass MSG_DONTWAIT so
+    // the call never blocks).
     let rc = unsafe {
         recvmmsg(
             sock.as_raw_fd(),
             hdrs.as_mut_ptr(),
-            hdrs.len() as u32,
+            slots.len() as u32,
             MSG_DONTWAIT,
             std::ptr::null_mut(),
         )

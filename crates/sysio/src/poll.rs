@@ -13,11 +13,20 @@
 //! fd set is small and fixed for the poller's lifetime, so there is no
 //! registration lifecycle to manage.
 //!
+//! The wait is also the caller's *readiness source*: afterwards
+//! [`Poller::ready`] says which sockets the kernel reported, straight
+//! off the `revents` that `ppoll` filled in, so the caller reads those
+//! and no others. Whenever the poller does not know — no wait has run,
+//! the last one was skipped for queued work or cut short by a signal —
+//! every socket reads as ready: not knowing costs a sweep, never a
+//! stranded datagram.
+//!
 //! Everywhere else — and on Linux under `CDE_SYSIO_FALLBACK=1` — the
 //! wait degrades to a thread park bounded by [`FALLBACK_NAP`]: that
-//! backend cannot observe socket readiness, so it returns at least that
-//! often and lets the caller sweep its sockets. Same API, same wake and
-//! timeout semantics; only reply pickup is coarser.
+//! backend cannot observe socket readiness ([`Poller::sees_sockets`] is
+//! false and every socket always reads as ready), so it returns at
+//! least that often and lets the caller sweep its sockets. Same API,
+//! same wake and timeout semantics; only reply pickup is coarser.
 //!
 //! Producers and the waiting loop run the sleeping-consumer handshake:
 //! the loop publishes `sleeping = true` (SeqCst), then re-checks for
@@ -125,14 +134,13 @@ impl std::fmt::Debug for Waker {
     }
 }
 
-/// What ended one [`Poller::wait`] that really blocked.
+/// What ended one [`Poller::wait`] that really blocked. Which sockets
+/// it found readable is asked of the poller: [`Poller::ready`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Wake {
-    /// Sockets the kernel reported readable (or in error). Always 0 on
-    /// the portable backend, which cannot observe readiness.
-    pub readable: usize,
     /// Signal-to-resume latency when a [`Waker::wake`] ended the wait;
-    /// absent on readiness, timeouts and [`Waker::force_wake`].
+    /// absent on readiness, timeouts, [`Waker::force_wake`] and a wake
+    /// issued before the wait began.
     pub wake_latency: Option<Duration>,
 }
 
@@ -198,9 +206,45 @@ impl Poller {
         }
     }
 
-    /// Leaves socket `index` out of the *next* wait only. For a socket
-    /// that reports ready but cannot be read: level-triggered readiness
-    /// would otherwise end every wait at once and spin the caller.
+    /// Whether this poller's waits observe its sockets. `false` on the
+    /// portable backend, whose wait is a blind nap: a caller with more
+    /// to read should skip that wait rather than sleep through it.
+    pub fn sees_sockets(&self) -> bool {
+        #[cfg(target_os = "linux")]
+        {
+            matches!(self.shared.signal, Signal::EventFd(_))
+        }
+        #[cfg(not(target_os = "linux"))]
+        false
+    }
+
+    /// Whether socket `index` (as in [`sockets`](Self::sockets)) should
+    /// be read now: the last [`wait`](Self::wait) reported it readable
+    /// or in error — or readiness is unknown, which reads as ready for
+    /// every socket. It is unknown before the first wait, after a wait
+    /// `has_work` skipped, after one a signal or the kernel cut short,
+    /// and always on the portable backend. A socket that sat the wait
+    /// out under [`mute_next`](Self::mute_next) was not looked at and
+    /// reads as not ready.
+    pub fn ready(&self, index: usize) -> bool {
+        debug_assert!(index < self.sockets.len());
+        #[cfg(target_os = "linux")]
+        if let Some(fd) = self.fds.get(index) {
+            return fd.ready();
+        }
+        true
+    }
+
+    /// Drops what the last wait learned: every socket reads as ready.
+    fn forget_readiness(&mut self) {
+        #[cfg(target_os = "linux")]
+        self.fds.iter_mut().for_each(sys::PollFd::assume_ready);
+    }
+
+    /// Leaves socket `index` out of the *next* wait that blocks, and of
+    /// no other. For a socket that reports ready but cannot be read:
+    /// level-triggered readiness would otherwise end every wait at once
+    /// and spin the caller.
     pub fn mute_next(&mut self, index: usize) {
         #[cfg(target_os = "linux")]
         if index < self.sockets.len() && !self.fds.is_empty() {
@@ -212,7 +256,8 @@ impl Poller {
     /// Blocks until a socket is readable, a [`Waker`] fires, or
     /// `timeout` elapses (`None`: no deadline). Returns `None` without
     /// blocking when `has_work` — evaluated *after* this thread is
-    /// published as sleeping — reports work already queued.
+    /// published as sleeping — reports work already queued. Either way
+    /// [`ready`](Self::ready) answers for this call from here on.
     pub fn wait(
         &mut self,
         timeout: Option<Duration>,
@@ -221,23 +266,27 @@ impl Poller {
         self.shared.sleeping.store(true, Ordering::SeqCst);
         if has_work() {
             self.shared.sleeping.store(false, Ordering::SeqCst);
+            // The sockets were not looked at: the previous wait's
+            // report says nothing about them now.
+            self.forget_readiness();
             return None;
         }
-        let readable = self.block(timeout);
+        let entered = self.shared.now_nanos();
+        self.block(timeout);
         self.shared.sleeping.store(false, Ordering::SeqCst);
+        // A wake stamped before this wait began raced one that was
+        // skipped for the work it queued: its signal ended this wait at
+        // once, and the time since is not a wake-up's latency.
         let wake_latency = match self.shared.wake_at_nanos.swap(0, Ordering::SeqCst) {
-            0 => None,
-            at => Some(Duration::from_nanos(
+            at if at >= entered => Some(Duration::from_nanos(
                 self.shared.now_nanos().saturating_sub(at),
             )),
+            _ => None,
         };
-        Some(Wake {
-            readable,
-            wake_latency,
-        })
+        Some(Wake { wake_latency })
     }
 
-    fn block(&mut self, timeout: Option<Duration>) -> usize {
+    fn block(&mut self, timeout: Option<Duration>) {
         match &self.shared.signal {
             #[cfg(target_os = "linux")]
             Signal::EventFd(eventfd) => {
@@ -249,17 +298,13 @@ impl Poller {
                             // Reset the counter so the next wait blocks.
                             let _ = (&*eventfd).read(&mut [0u8; 8]);
                         }
-                        self.fds[..sockets].iter().filter(|fd| fd.ready()).count()
                     }
                     // A signal landed: indistinguishable from a spurious
                     // wake, which every caller already tolerates.
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     // The kernel refused the wait outright (ENOMEM):
                     // degrade to the portable nap rather than spin.
-                    Err(_) => {
-                        std::thread::sleep(nap(timeout));
-                        0
-                    }
+                    Err(_) => std::thread::sleep(nap(timeout)),
                 }
             }
             Signal::Thread(thread) => {
@@ -269,7 +314,6 @@ impl Poller {
                 if self.shared.sleeping.load(Ordering::SeqCst) {
                     std::thread::park_timeout(nap(timeout));
                 }
-                0
             }
         }
     }
@@ -308,12 +352,18 @@ mod sys {
     }
 
     impl PollFd {
+        /// Starts out ready: nothing is known before the first wait.
         fn watching(fd: i32) -> PollFd {
             PollFd {
                 fd,
                 events: POLLIN,
-                revents: 0,
+                revents: POLLIN,
             }
+        }
+
+        /// Stands in for a report the kernel did not make.
+        pub(super) fn assume_ready(&mut self) {
+            self.revents = POLLIN;
         }
 
         /// Any returned event counts: POLLERR/POLLHUP/POLLNVAL need the
@@ -367,7 +417,9 @@ mod sys {
         Ok((eventfd, fds))
     }
 
-    /// One `ppoll` over `fds`; un-mutes every entry afterwards.
+    /// One `ppoll` over `fds`; un-mutes every entry afterwards. A call
+    /// that fails reported nothing and leaves the previous call's
+    /// `revents` in place: every entry is marked ready instead.
     pub(super) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
         let ts = timeout.map(|t| Timespec {
             sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
@@ -397,6 +449,9 @@ mod sys {
             if fd.fd < 0 {
                 fd.fd = !fd.fd;
                 fd.revents = 0;
+            }
+            if result.is_err() {
+                fd.assume_ready();
             }
         }
         result
@@ -428,16 +483,28 @@ mod tests {
         cfg!(target_os = "linux") && !fallback
     }
 
-    fn poller(fallback: bool) -> (Poller, UdpSocket, SocketAddr) {
+    fn watched() -> (UdpSocket, SocketAddr) {
         let watched = UdpSocket::bind("127.0.0.1:0").unwrap();
         watched.set_nonblocking(true).unwrap();
         let addr = watched.local_addr().unwrap();
+        (watched, addr)
+    }
+
+    fn poller(fallback: bool) -> (Poller, UdpSocket, SocketAddr) {
+        let (watched, addr) = watched();
         let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
         (
             Poller::with_backend(vec![watched], fallback).unwrap(),
             peer,
             addr,
         )
+    }
+
+    /// `ready(i)` for every socket of `poller`.
+    fn readiness(poller: &Poller) -> Vec<bool> {
+        (0..poller.sockets().len())
+            .map(|i| poller.ready(i))
+            .collect()
     }
 
     /// Spins until the poller's thread has published itself as sleeping,
@@ -462,15 +529,45 @@ mod tests {
                 .expect("no queued work: the wait is entered");
             assert!(start.elapsed() < Duration::from_secs(1));
             assert_eq!(wake.wake_latency, None);
+            assert!(poller.ready(0));
             if native(fallback) {
-                assert_eq!(wake.readable, 1);
                 // Level-triggered: still reported until it is read.
-                let again = poller.wait(Some(Duration::from_secs(5)), || false);
-                assert_eq!(again.map(|w| w.readable), Some(1));
+                let start = Instant::now();
+                poller.wait(Some(Duration::from_secs(5)), || false);
+                assert!(start.elapsed() < Duration::from_secs(1));
+                assert!(poller.ready(0));
             }
             let mut buf = [0u8; 16];
             let (len, _) = poller.sockets()[0].recv_from(&mut buf).unwrap();
             assert_eq!(&buf[..len], b"ping");
+        }
+    }
+
+    #[test]
+    fn ready_names_the_sockets_the_last_wait_reported() {
+        for fallback in BACKENDS {
+            let (sockets, addrs): (Vec<_>, Vec<_>) = (0..3).map(|_| watched()).unzip();
+            let mut poller = Poller::with_backend(sockets, fallback).unwrap();
+            assert_eq!(poller.sees_sockets(), native(fallback));
+            let all = vec![true; 3];
+            assert_eq!(readiness(&poller), all, "nothing is known before a wait");
+            let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+            peer.send_to(b"ping", addrs[1]).unwrap();
+            poller.wait(Some(Duration::from_secs(5)), || false);
+            let reported = if native(fallback) {
+                vec![false, true, false]
+            } else {
+                // A nap reports nothing: the caller sweeps.
+                all.clone()
+            };
+            assert_eq!(readiness(&poller), reported);
+            // A skipped wait looked at no socket, and the report of the
+            // wait before it is stale — not an answer.
+            assert!(poller.wait(None, || true).is_none());
+            assert_eq!(readiness(&poller), all);
+            poller.sockets()[1].recv_from(&mut [0u8; 16]).unwrap();
+            poller.wait(Some(Duration::from_millis(1)), || false);
+            assert_eq!(readiness(&poller), vec![!native(fallback); 3]);
         }
     }
 
@@ -591,8 +688,32 @@ mod tests {
                 .expect("the loop really blocked");
             let latency = wake.wake_latency.expect("ended by a wake, not a timeout");
             assert!(latency < Duration::from_secs(1), "latency {latency:?}");
-            assert_eq!(wake.readable, 0);
+            // The waker alone ended it: there is no socket to read.
+            assert_eq!(poller.ready(0), !native(fallback));
             producer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn wake_that_raced_a_skipped_wait_is_not_charged_to_the_next_one() {
+        for fallback in BACKENDS {
+            let (mut poller, _peer, _addr) = poller(fallback);
+            let waker = poller.waker();
+            // The producer's wake lands after the loop published itself
+            // as sleeping and before its re-check found the work: the
+            // wait is skipped, the stamp and the signal stay behind.
+            let raced = poller.wait(None, || {
+                waker.wake();
+                true
+            });
+            assert!(raced.is_none());
+            std::thread::sleep(Duration::from_millis(20));
+            let start = Instant::now();
+            let wake = poller
+                .wait(Some(Duration::from_secs(5)), || false)
+                .expect("entered");
+            assert!(start.elapsed() < Duration::from_secs(1));
+            assert_eq!(wake.wake_latency, None, "20 ms of work is not a wake-up");
         }
     }
 
@@ -604,13 +725,7 @@ mod tests {
             let wake = poller
                 .wait(Some(Duration::from_millis(20)), || false)
                 .expect("blocked");
-            assert_eq!(
-                wake,
-                Wake {
-                    readable: 0,
-                    wake_latency: None
-                }
-            );
+            assert_eq!(wake, Wake { wake_latency: None });
             let floor = if native(fallback) {
                 Duration::from_millis(20)
             } else {
@@ -654,17 +769,68 @@ mod tests {
         peer.send_to(b"unread", addr).unwrap();
         let ready = |p: &mut Poller| {
             p.wait(Some(Duration::from_millis(20)), || false)
-                .map(|w| w.readable)
+                .expect("blocked");
+            p.ready(0)
         };
-        assert_eq!(ready(&mut poller), Some(1));
+        assert!(ready(&mut poller));
         poller.mute_next(0);
+        // A wait skipped for queued work is not the wait it sits out.
+        assert!(poller.wait(None, || true).is_none());
+        assert!(poller.ready(0), "nothing was looked at: unknown, so ready");
         let start = Instant::now();
-        assert_eq!(
-            ready(&mut poller),
-            Some(0),
+        assert!(!ready(&mut poller), "muted: not looked at, not ready");
+        assert!(
+            start.elapsed() >= Duration::from_millis(20),
             "muted: only the timeout ends it"
         );
-        assert!(start.elapsed() >= Duration::from_millis(20));
-        assert_eq!(ready(&mut poller), Some(1), "the mute lasts one wait");
+        assert!(ready(&mut poller), "the mute lasts one wait");
+    }
+
+    /// A wait a signal cuts short learned nothing, and the `revents`
+    /// still in the set are the wait-before's: they must not be served
+    /// as this wait's report.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn interrupted_wait_reports_unknown_readiness_not_the_previous_waits() {
+        const SIGUSR2: i32 = 12;
+        extern "C" fn ignore(_signum: i32) {}
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+            fn pthread_self() -> usize;
+            fn pthread_kill(thread: usize, signum: i32) -> i32;
+        }
+        let (mut poller, _peer, _addr) = poller(false);
+        poller.wait(Some(Duration::from_millis(1)), || false);
+        assert!(!poller.ready(0), "timed out with nothing queued");
+        let handler = ignore as extern "C" fn(i32);
+        // SAFETY: installs an async-signal-safe (empty) handler for a
+        // signal nothing else in this test binary uses.
+        assert_ne!(unsafe { signal(SIGUSR2, handler as usize) }, usize::MAX);
+        // SAFETY: no arguments; returns the calling thread's id.
+        let waiter = unsafe { pthread_self() };
+        let done = Arc::new(AtomicBool::new(false));
+        let interrupter = std::thread::spawn({
+            let (waker, done) = (poller.waker(), Arc::clone(&done));
+            move || {
+                until_sleeping(&waker);
+                // One signal can land before the thread is inside
+                // `ppoll`; keep them coming until one cuts it short.
+                while !done.load(Ordering::SeqCst) {
+                    // SAFETY: `waiter` is the id of a thread that stays
+                    // alive until it has joined this one.
+                    unsafe { pthread_kill(waiter, SIGUSR2) };
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        });
+        let start = Instant::now();
+        poller.wait(Some(Duration::from_secs(5)), || false);
+        done.store(true, Ordering::SeqCst);
+        interrupter.join().unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "never interrupted"
+        );
+        assert!(poller.ready(0));
     }
 }
