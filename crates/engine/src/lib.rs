@@ -93,6 +93,7 @@ pub mod clock;
 pub mod faulty;
 pub mod flight;
 pub mod metrics;
+mod mulhash;
 pub mod ratelimit;
 pub mod reactor;
 pub mod resolver;

@@ -41,12 +41,13 @@ use crate::authority::WireAuthority;
 use crate::bufpool::BufferPool;
 use crate::flight::{FlightOptions, FlightRecorder};
 use crate::metrics::EngineMetrics;
+use crate::mulhash::MulMap;
 use crate::ratelimit::RateLimiter;
 use crate::resolver::LoopbackResolver;
 use crate::retry::RetryPolicy;
 use crate::rto::RtoTable;
 pub use crate::shard::shard_for_target;
-use crate::shard::{empty_slots, FaultLayer, ShardLoop, Submission};
+use crate::shard::{empty_slots, FaultLayer, ShardLoop, Submission, MAX_SLAB};
 use crate::timer::TimerWheel;
 use crate::transport::{Transport, TransportReply};
 use crate::udp::SyncLink;
@@ -94,7 +95,8 @@ pub struct ReactorConfig {
     /// sends across its share for source-port diversity.
     pub sockets: usize,
     /// Correlation-table capacity: probes held in flight at once, summed
-    /// across shards (each shard gets an equal slice).
+    /// across shards (each shard gets an equal slice, at most 65 536 —
+    /// one socket's query-id space).
     pub max_in_flight: usize,
     /// Event-loop shards. Defaults to `available_parallelism`; clamped
     /// to 1 when [`faults`](Self::faults) are configured (the injector's
@@ -395,7 +397,9 @@ impl ShardedReactor {
             config.shards.max(1)
         };
         let max_in_flight = config.max_in_flight.max(1);
-        let per_shard_in_flight = max_in_flight.div_ceil(shards).max(1);
+        // A shard's slab never outgrows one socket's query-id space (see
+        // `MAX_SLAB`), so two live probes on a socket never share an id.
+        let per_shard_in_flight = max_in_flight.div_ceil(shards).clamp(1, MAX_SLAB);
         let per_shard_sockets = config.sockets.max(1).div_ceil(shards).max(1);
         let metrics = Arc::new(EngineMetrics::with_shards(shards));
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -475,7 +479,7 @@ impl ShardedReactor {
             let waker = poller.waker();
             let shard_exited = Arc::new(AtomicBool::new(false));
             let shard_loop = ShardLoop {
-                targets: targets.clone(),
+                targets: targets.iter().map(|(&ip, &addr)| (ip, addr)).collect(),
                 poller,
                 next_socket: 0,
                 ring: Arc::clone(&ring),
@@ -483,7 +487,10 @@ impl ShardedReactor {
                 slots: empty_slots(per_shard_in_flight),
                 free_slots: (0..per_shard_in_flight).rev().collect(),
                 occupied: 0,
-                correlation: HashMap::with_capacity(per_shard_in_flight),
+                correlation: MulMap::with_capacity_and_hasher(
+                    per_shard_in_flight,
+                    Default::default(),
+                ),
                 timers: TimerWheel::new(0),
                 expired: Vec::new(),
                 ready: VecDeque::with_capacity(per_shard_in_flight),
@@ -506,6 +513,7 @@ impl ShardedReactor {
                 exemplars: exemplars.as_ref().map(Arc::clone),
                 rto: rto.as_ref().map(Arc::clone),
                 flight: flight.as_ref().map(|f| f.ring(i)),
+                outbox: Vec::new(),
             };
             let thread = std::thread::Builder::new()
                 .name(format!("cde-reactor-{i}"))

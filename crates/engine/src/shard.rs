@@ -15,6 +15,7 @@
 use crate::bufpool::BufferPool;
 use crate::flight::{FlightDisposition, FlightRecord, FlightRing};
 use crate::metrics::MetricsBlock;
+use crate::mulhash::MulMap;
 use crate::ratelimit::RateLimiter;
 use crate::reactor::{ProbeCompletion, ReactorInsight};
 use crate::retry::RetryPolicy;
@@ -32,7 +33,7 @@ use cde_telemetry::{DropReason, EventKind as TelemetryEvent, TelemetryHub};
 use crossbeam::channel::Sender;
 use rand::Rng;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -211,7 +212,7 @@ impl FaultLayer {
 /// poller's [`cde_sysio::Waker`]), control (`shutdown`, `drain`,
 /// `exited`) and mergeable observability.
 pub(crate) struct ShardLoop {
-    pub(crate) targets: HashMap<Ipv4Addr, SocketAddr>,
+    pub(crate) targets: MulMap<Ipv4Addr, SocketAddr>,
     /// The shard's sockets and the one place the loop ever blocks.
     pub(crate) poller: Poller,
     pub(crate) next_socket: usize,
@@ -220,7 +221,7 @@ pub(crate) struct ShardLoop {
     pub(crate) slots: Vec<Option<Pending>>,
     pub(crate) free_slots: Vec<usize>,
     pub(crate) occupied: usize,
-    pub(crate) correlation: HashMap<(usize, u16), usize>,
+    pub(crate) correlation: MulMap<(usize, u16), usize>,
     pub(crate) timers: TimerWheel<TimerEvent>,
     pub(crate) expired: Vec<TimerEvent>,
     pub(crate) ready: VecDeque<usize>,
@@ -248,6 +249,9 @@ pub(crate) struct ShardLoop {
     /// This shard's flight-recorder ring; the loop is its single
     /// writer. `None` when the recorder is off.
     pub(crate) flight: Option<Arc<FlightRing>>,
+    /// Completions made this pass, each with its submitter's channel;
+    /// flushed before the pass ends (see [`Self::flush_completions`]).
+    pub(crate) outbox: Vec<(Sender<ProbeCompletion>, ProbeCompletion)>,
 }
 
 /// Builds a shard's pending-slot vector (the type is private to this
@@ -294,6 +298,7 @@ impl ShardLoop {
             progress |= self.send_ready();
             progress |= self.receive();
             progress |= self.release_delayed();
+            self.flush_completions();
             self.block.set_wheel_pending(self.timers.len() as u64);
             self.block.set_ring_depth(self.ring.len() as u64);
             self.block.record_loop_iteration(iter_start.elapsed());
@@ -424,10 +429,13 @@ impl ShardLoop {
                         attempts: 0,
                     },
                 );
-                let _ = sub.done.send(ProbeCompletion {
-                    token: sub.token,
-                    reply: TransportReply::TimedOut,
-                });
+                self.outbox.push((
+                    sub.done,
+                    ProbeCompletion {
+                        token: sub.token,
+                        reply: TransportReply::TimedOut,
+                    },
+                ));
                 return;
             }
         };
@@ -1027,7 +1035,8 @@ impl ShardLoop {
     }
 
     /// Retires a slot: frees the correlation entry, recycles the buffer,
-    /// delivers the completion. Timers die by lazy cancellation.
+    /// queues the completion for this pass's flush. Timers die by lazy
+    /// cancellation.
     fn complete(&mut self, slot: usize, reply: TransportReply) {
         let p = self.slots[slot].take().expect("completing occupied slot");
         self.correlation.remove(&(p.socket, p.id));
@@ -1108,10 +1117,32 @@ impl ShardLoop {
                 answered: matches!(reply, TransportReply::Answered { .. }),
             });
         }
-        let _ = p.done.send(ProbeCompletion {
-            token: p.token,
-            reply,
-        });
+        self.outbox.push((
+            p.done,
+            ProbeCompletion {
+                token: p.token,
+                reply,
+            },
+        ));
+    }
+
+    /// Delivers the pass's completions: one locked push per run of
+    /// consecutive completions bound for the same channel, instead of a
+    /// lock (and a wake) per probe. `run` calls this once per pass,
+    /// before the drain check and the wait, so no completion outlives
+    /// the pass that made it — nor sits behind a blocking wait.
+    fn flush_completions(&mut self) {
+        let mut outbox = self.outbox.drain(..).peekable();
+        while let Some((done, first)) = outbox.next() {
+            // The run's other senders drop inside `send_all`; `done`
+            // outlives them, so none is the channel's last.
+            let run = std::iter::once(first).chain(std::iter::from_fn(|| {
+                outbox
+                    .next_if(|(next, _)| next.same_channel(&done))
+                    .map(|(_, completion)| completion)
+            }));
+            let _ = done.send_all(run);
+        }
     }
 
     /// Where every pass ends, and the only place the loop learns which
@@ -1171,9 +1202,14 @@ impl ShardLoop {
     }
 }
 
+/// The most probes one shard holds in flight: the query-id space of one
+/// socket. The reactor clamps each shard's slab to it, so a socket holds
+/// at most 65 535 live ids while [`fresh_id`] arms the 65 536th slot.
+pub(crate) const MAX_SLAB: usize = 1 << 16;
+
 /// Picks a query id unused on `socket`, preferring a random draw and
 /// linearly probing on collision.
-fn fresh_id(rng: &mut DetRng, correlation: &HashMap<(usize, u16), usize>, socket: usize) -> u16 {
+fn fresh_id(rng: &mut DetRng, correlation: &MulMap<(usize, u16), usize>, socket: usize) -> u16 {
     let mut id: u16 = rng.gen();
     for _ in 0..=u16::MAX {
         if !correlation.contains_key(&(socket, id)) {
@@ -1181,7 +1217,9 @@ fn fresh_id(rng: &mut DetRng, correlation: &HashMap<(usize, u16), usize>, socket
         }
         id = id.wrapping_add(1);
     }
-    id // unreachable: the table can never hold 65 536 entries per socket
+    // Unreachable: the slot being armed holds no id, and the slab
+    // (at most `MAX_SLAB` slots) leaves one free on every socket.
+    id
 }
 
 #[cfg(test)]
@@ -1215,6 +1253,22 @@ mod tests {
         );
     }
 
+    #[test]
+    fn fresh_id_finds_the_one_free_id_on_a_full_socket() {
+        let free = 40_000u16;
+        let mut correlation = MulMap::default();
+        for id in (0..=u16::MAX).filter(|&id| id != free) {
+            correlation.insert((1, id), usize::from(id));
+        }
+        // The free id being live on another socket does not count.
+        correlation.insert((0, free), 0);
+        assert_eq!(correlation.len(), usize::from(u16::MAX) + 1);
+        let mut rng = DetRng::seed(7);
+        for _ in 0..4 {
+            assert_eq!(fresh_id(&mut rng, &correlation, 1), free);
+        }
+    }
+
     /// A shard loop over `sockets`, everything optional switched off.
     #[cfg(unix)]
     fn bare_loop(
@@ -1224,7 +1278,9 @@ mod tests {
     ) -> ShardLoop {
         const SLOTS: usize = 4;
         ShardLoop {
-            targets: HashMap::from([(Ipv4Addr::new(192, 0, 2, 1), target)]),
+            targets: [(Ipv4Addr::new(192, 0, 2, 1), target)]
+                .into_iter()
+                .collect(),
             poller: Poller::new(sockets).unwrap(),
             next_socket: 0,
             ring: Arc::new(MpscRing::with_capacity(8)),
@@ -1232,7 +1288,7 @@ mod tests {
             slots: empty_slots(SLOTS),
             free_slots: (0..SLOTS).rev().collect(),
             occupied: 0,
-            correlation: HashMap::new(),
+            correlation: MulMap::default(),
             timers: TimerWheel::new(0),
             expired: Vec::new(),
             ready: VecDeque::new(),
@@ -1255,6 +1311,7 @@ mod tests {
             exemplars: None,
             rto: None,
             flight: None,
+            outbox: Vec::new(),
         }
     }
 

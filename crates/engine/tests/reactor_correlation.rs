@@ -6,7 +6,9 @@
 //! traffic (timed out or answered exactly once), and the drop is visible
 //! in [`EngineMetrics`] under the right counter — wrong query id and
 //! late/duplicate replies as strays, id collisions as qname mismatches,
-//! off-path sources as spoofed replies.
+//! off-path sources as spoofed replies. The last test checks the bound
+//! that keeps ids unique in the first place: no shard holds more probes
+//! than one socket has query ids.
 
 use cde_dns::{Message, Name, Question, RecordType};
 use cde_engine::reactor::{Reactor, ReactorConfig};
@@ -209,4 +211,22 @@ fn reply_after_timeout_is_a_stray_not_a_match() {
     assert_eq!(snap.received, 0, "a late reply must never match");
     assert_eq!(snap.stray_replies, 1);
     assert_eq!(snap.timeouts, 1);
+}
+
+#[test]
+fn slab_is_clamped_to_one_sockets_id_space() {
+    // One socket, 100 000 probes asked for: unclamped, the 65 537th
+    // live probe could only reuse a live id and overwrite its entry.
+    let unused = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let reactor = Reactor::launch(
+        HashMap::from([(INGRESS, unused.local_addr().unwrap())]),
+        ReactorConfig {
+            sockets: 1,
+            max_in_flight: 100_000,
+            shards: 1,
+            ..ReactorConfig::with_policy(policy(1, 50), 5)
+        },
+    )
+    .unwrap();
+    assert_eq!(reactor.metrics().snapshot().slab_capacity, 65_536);
 }

@@ -2,8 +2,9 @@
 //! total, correlation is strictly shard-local (a reply landing on the
 //! wrong shard's socket is a stray, never a match), the per-shard
 //! metrics blocks and RTT digests merge to the same totals a
-//! single-shard run produces, and a multi-shard drain delivers every
-//! completion.
+//! single-shard run produces, a multi-shard drain delivers every
+//! completion, and submitters sharing a shard each get exactly their
+//! own completions.
 //!
 //! Everything runs on loopback with an in-test echo server, so these
 //! hold on a single-core host too — the shard count is forced through
@@ -151,7 +152,7 @@ fn merged_observability_matches_single_shard_run() {
         let echo = spawn_echo(server, Arc::clone(&stop));
         let targets: HashMap<Ipv4Addr, SocketAddr> =
             ingresses.iter().map(|&ip| (ip, server_addr)).collect();
-        let reactor = Reactor::launch(
+        let mut reactor = Reactor::launch(
             targets,
             ReactorConfig {
                 sockets: 4,
@@ -171,6 +172,9 @@ fn merged_observability_matches_single_shard_run() {
         }
         let total = probes.len();
         let report = run_campaign_pipelined(&reactor, probes, 64);
+        // Stopped loops: the merged and the per-shard snapshots below
+        // are read at different moments and must see the same counts.
+        assert!(reactor.shutdown_graceful(Duration::from_secs(10)));
         stop.store(true, Ordering::SeqCst);
         echo.join().unwrap();
         assert!(report.fully_accounted(total), "{shards}-shard run leaked");
@@ -290,4 +294,61 @@ fn graceful_drain_covers_every_shard() {
             "shard {i} left probes in flight"
         );
     }
+}
+
+/// A pass delivers its completions in one push per run of consecutive
+/// completions bound for one channel. Two submitters whose probes
+/// interleave on one shard must still each get exactly their own
+/// tokens, every one exactly once.
+#[test]
+fn interleaved_submitters_on_one_shard_get_exactly_their_own_tokens() {
+    const PER_SUBMITTER: u64 = 300;
+    let ingress = Ipv4Addr::new(192, 0, 2, 1);
+    let server = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let server_addr = server.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let echo = spawn_echo(server, Arc::clone(&stop));
+    let mut reactor = Reactor::launch(
+        HashMap::from([(ingress, server_addr)]),
+        ReactorConfig {
+            sockets: 2,
+            max_in_flight: 64,
+            shards: 1,
+            ..ReactorConfig::with_policy(policy_ms(3, 500), 41)
+        },
+    )
+    .unwrap();
+    let submitters: Vec<_> = [0u64, 1_000_000]
+        .into_iter()
+        .map(|base| {
+            let handle = reactor.handle();
+            std::thread::spawn(move || {
+                let (done_tx, done_rx) = unbounded();
+                for token in base..base + PER_SUBMITTER {
+                    let qname: Name = format!("i-{token}.cache.example").parse().unwrap();
+                    assert!(handle.submit(token, ingress, qname, RecordType::A, &done_tx));
+                }
+                let mut got: Vec<u64> = (0..PER_SUBMITTER)
+                    .map(|_| {
+                        let done = done_rx
+                            .recv_timeout(Duration::from_secs(10))
+                            .expect("a completion went missing");
+                        assert!(done.reply.is_answered(), "{:?}", done.reply);
+                        done.token
+                    })
+                    .collect();
+                got.sort_unstable();
+                (base, got, done_rx)
+            })
+        })
+        .collect();
+    let results: Vec<_> = submitters.into_iter().map(|s| s.join().unwrap()).collect();
+    assert!(reactor.shutdown_graceful(Duration::from_secs(10)));
+    for (base, got, done_rx) in results {
+        assert_eq!(got, (base..base + PER_SUBMITTER).collect::<Vec<_>>());
+        // Nothing further: no completion of the other submitter's.
+        assert!(done_rx.try_recv().is_err());
+    }
+    stop.store(true, Ordering::SeqCst);
+    echo.join().unwrap();
 }

@@ -13,7 +13,9 @@
 //! The wait is also where the loop learns which sockets to read. The
 //! last three tests count what it does with that — passes and receive
 //! calls per probe — and check that a reply on a socket the wait did
-//! not name is picked up by the next one rather than stranded.
+//! not name is picked up by the next one rather than stranded. A pass
+//! also delivers its completions before it waits, which the first test
+//! after the ping comparison checks.
 //!
 //! Lower bounds ("never early", iteration counts) are hard assertions.
 //! Upper bounds on elapsed time can be broken by a shared runner
@@ -345,6 +347,40 @@ fn reported_rtt_is_within_a_margin_of_a_blocking_ping() {
                 "p80 added to the hold: {reported} µs reported vs {blocking} µs by a blocking ping"
             ))
         }
+    });
+}
+
+/// A pass queues its completions and delivers them, one push per
+/// channel, before it waits. The responder stays silent for 5 ms, so
+/// the loop is blocked when the reply lands; after the pass that reads
+/// it, the next wait has nothing to end it but the wheel's next cascade
+/// (up to 64 ms away, where the probe's dead 10 s deadline is shed), so
+/// a completion held until that wait ends would arrive tens of
+/// milliseconds after its reply.
+#[test]
+fn lone_completion_is_delivered_before_the_next_wait() {
+    const HOLD: Duration = Duration::from_millis(5);
+    let responder = Responder::launch(|_| HOLD);
+    let bound = HOLD + Duration::from_millis(10) + Duration::from_micros(pickup_bound_us());
+    within_three_tries(|| {
+        let reactor = launch(
+            responder.addr,
+            ReactorConfig {
+                shards: 1,
+                ..ReactorConfig::with_policy(policy(1, 10_000), 3)
+            },
+        );
+        let (done_tx, done_rx) = unbounded();
+        for token in 0..5 {
+            let submitted = Instant::now();
+            submit(&reactor, token, &done_tx);
+            answered_rtt_us(&done_rx, token);
+            let took = submitted.elapsed();
+            if took > bound {
+                return Err(format!("probe {token} completed after {took:?}"));
+            }
+        }
+        Ok(())
     });
 }
 
