@@ -1,9 +1,11 @@
 //! DNS wire-format benches: message encode/decode with compression, plus
 //! an allocation-counting proof that the probe hot path (reusable-writer
-//! encode + peek decode) touches the heap zero times after warm-up.
+//! encode + peek decode, and the timer wheel's schedule / cancel /
+//! advance) touches the heap zero times after warm-up.
 
 use cde_dns::wire::WireWriter;
 use cde_dns::{Message, MessagePeek, Name, Question, RData, Record, RecordType, Ttl};
+use cde_engine::{TimerKey, TimerWheel};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
@@ -116,6 +118,7 @@ fn bench_zero_alloc_probe(c: &mut Criterion) {
         allocated, 0,
         "probe encode+decode must not touch the heap after warm-up"
     );
+    assert_warm_wheel_allocates_nothing();
 
     c.bench_function("wire/zero_alloc_probe", |b| {
         b.iter(|| {
@@ -124,6 +127,44 @@ fn bench_zero_alloc_probe(c: &mut Criterion) {
             black_box(peek.question_matches(&qname, RecordType::A).unwrap())
         });
     });
+}
+
+/// One probe window's worth of timers through the wheel: deadlines on
+/// every level, half of them cancelled (answered probes), the rest
+/// expired by an advance long enough to cross level-1 and level-2
+/// cascade boundaries. The first round grows the wheel's node arena;
+/// once warm, a round must not allocate — cascades relink nodes, and
+/// expiry and cancellation recycle them.
+fn assert_warm_wheel_allocates_nothing() {
+    const TIMERS: usize = 512;
+    let mut wheel: TimerWheel<u64> = TimerWheel::new(0);
+    let mut expired = Vec::with_capacity(TIMERS);
+    let mut keys: [Option<TimerKey>; TIMERS] = [None; TIMERS];
+    let mut round = |wheel: &mut TimerWheel<u64>, expired: &mut Vec<u64>| {
+        let now = wheel.now();
+        for (i, key) in keys.iter_mut().enumerate() {
+            // Deltas 1 … 8 999: fine, level-1 and level-2 deadlines.
+            let delta = 1 + (i as u64 * 97) % 8_999;
+            *key = Some(wheel.schedule(now + delta, i as u64));
+        }
+        for key in keys.iter_mut().step_by(2) {
+            assert!(wheel.cancel(key.take().unwrap()).is_some());
+        }
+        expired.clear();
+        wheel.advance(now + 9_000, expired);
+        assert_eq!(expired.len(), TIMERS / 2);
+        assert!(wheel.is_empty());
+    };
+    round(&mut wheel, &mut expired);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..4 {
+        round(&mut wheel, &mut expired);
+    }
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocated, 0,
+        "a warm timer wheel must not touch the heap to schedule, cancel or cascade"
+    );
 }
 
 criterion_group!(

@@ -53,7 +53,8 @@
 //!   `cde-core::planner`; [`PipelinedCampaign`](scheduler::PipelinedCampaign)
 //!   streams probes through a reactor with a bounded window.
 //! * [`timer`] — [`TimerWheel`](timer::TimerWheel): the hierarchical
-//!   timing wheel backing the reactor's deadlines.
+//!   timing wheel backing the reactor's deadlines, with O(1)
+//!   cancellation by [`TimerKey`](timer::TimerKey).
 //! * [`bufpool`] — [`BufferPool`](bufpool::BufferPool): recycled probe
 //!   encodings for the reactor's alloc-free hot path.
 //! * [`metrics`] — [`EngineMetrics`](metrics::EngineMetrics): atomic
@@ -130,6 +131,6 @@ pub use scheduler::{
 };
 pub use sim::SimTransport;
 pub use testbed::LiveTestbed;
-pub use timer::TimerWheel;
+pub use timer::{TimerKey, TimerWheel};
 pub use transport::{EngineAccess, Transport, TransportReply};
 pub use udp::UdpTransport;

@@ -614,7 +614,8 @@ pub struct MetricsSnapshot {
     pub loop_max_us: u64,
     /// Reactor tick latency histogram (exponential microsecond buckets).
     pub loop_buckets: [u64; BUCKETS],
-    /// Timers pending in the reactor wheel at snapshot time.
+    /// Timers pending in the reactor wheel at snapshot time: live ones
+    /// only, at most one per in-flight probe.
     pub wheel_pending: u64,
     /// Highest wheel-pending count seen (summed per-shard peaks when
     /// merged).

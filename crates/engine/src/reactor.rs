@@ -501,7 +501,6 @@ impl ShardedReactor {
                 policy: config.policy,
                 limiter: config.limiter.clone(),
                 rng: DetRng::seed(config.seed).fork_indexed("reactor", i as u64),
-                generation: 0,
                 start: Instant::now(),
                 block,
                 telemetry: Arc::clone(&telemetry),

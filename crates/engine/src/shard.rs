@@ -20,7 +20,7 @@ use crate::ratelimit::RateLimiter;
 use crate::reactor::{ProbeCompletion, ReactorInsight};
 use crate::retry::RetryPolicy;
 use crate::rto::RtoTable;
-use crate::timer::TimerWheel;
+use crate::timer::{TimerKey, TimerWheel};
 use crate::transport::TransportReply;
 use cde_dns::wire::WireWriter;
 use cde_dns::{Message, MessagePeek, Name, RecordType};
@@ -79,7 +79,6 @@ pub(crate) enum PendingState {
 
 /// One correlation-table entry.
 pub(crate) struct Pending {
-    generation: u64,
     token: u64,
     ingress: Ipv4Addr,
     qname: Name,
@@ -101,18 +100,20 @@ pub(crate) struct Pending {
     /// the "RTO used" the flight record reports. 0 until the first send.
     last_rto_us: u32,
     state: PendingState,
+    /// The one timer armed for this probe — its pending `Send` while
+    /// `Scheduled` (if any), its read deadline while `Waiting` — so
+    /// retiring the probe cancels it.
+    timer: Option<TimerKey>,
     done: Sender<ProbeCompletion>,
 }
 
-/// What a timer firing means. Events are validated against the slot's
-/// generation and attempt, so cancellation is free (stale events no-op);
-/// the wheel additionally sheds stale events at cascade time via
-/// [`TimerWheel::advance_filtered`].
+/// What a timer firing means, and for which slot. A slot has at most
+/// one timer armed, and retiring the slot cancels it (see
+/// [`ShardLoop::complete`]), so every event the wheel hands back is for
+/// the probe that armed it, in the state it armed it in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TimerEvent {
     slot: usize,
-    generation: u64,
-    attempt: u32,
     kind: EventKind,
 }
 
@@ -232,7 +233,6 @@ pub(crate) struct ShardLoop {
     pub(crate) policy: RetryPolicy,
     pub(crate) limiter: Option<Arc<RateLimiter>>,
     pub(crate) rng: DetRng,
-    pub(crate) generation: u64,
     pub(crate) start: Instant,
     pub(crate) block: Arc<MetricsBlock>,
     pub(crate) telemetry: Arc<TelemetryHub>,
@@ -376,16 +376,7 @@ impl ShardLoop {
                 } else {
                     // Pay the limiter by scheduling, not sleeping.
                     self.block.record_rate_limit_stall(wait);
-                    let p = self.slots[slot].as_ref().expect("admitted slot");
-                    self.timers.schedule(
-                        now_tick + Self::ticks(wait),
-                        TimerEvent {
-                            slot,
-                            generation: p.generation,
-                            attempt: 0,
-                            kind: EventKind::Send,
-                        },
-                    );
+                    self.arm(slot, now_tick + Self::ticks(wait), EventKind::Send);
                 }
             }
         } else {
@@ -440,9 +431,7 @@ impl ShardLoop {
             }
         };
         let slot = self.free_slots.pop().expect("admit checked free_slots");
-        self.generation += 1;
         self.slots[slot] = Some(Pending {
-            generation: self.generation,
             token: sub.token,
             ingress: sub.ingress,
             qname: sub.qname,
@@ -457,54 +446,46 @@ impl ShardLoop {
             queue_us: u64::MAX,
             last_rto_us: 0,
             state: PendingState::Scheduled,
+            timer: None,
             done: sub.done,
         });
         self.occupied += 1;
         self.admitted.push(slot);
     }
 
-    /// Advances the wheel and acts on expired, still-valid events.
-    ///
-    /// Stale events (slot retired, superseded generation or attempt) are
-    /// shed inside the wheel itself — at cascade as well as expiry — so
-    /// a deep in-flight window's worth of cancelled deadlines never
-    /// rides the cascade chain. The surviving events are re-validated
-    /// here anyway: completing one expiry can invalidate the next one in
-    /// the same batch.
+    /// Arms `slot`'s one timer: `kind` at tick `deadline`.
+    fn arm(&mut self, slot: usize, deadline: u64, kind: EventKind) {
+        let key = self.timers.schedule(deadline, TimerEvent { slot, kind });
+        let p = self.slots[slot].as_mut().expect("arming an occupied slot");
+        debug_assert!(p.timer.is_none(), "slot {slot} already has a timer");
+        p.timer = Some(key);
+    }
+
+    /// Advances the wheel and acts on every expired event. Retiring a
+    /// probe cancels its timer, so each event's slot still holds the
+    /// probe that armed it, in the state it armed it in.
     fn fire_timers(&mut self) -> bool {
         let now_tick = self.now_tick();
         let mut expired = std::mem::take(&mut self.expired);
         expired.clear();
         let t_timers = self.phase_begin(Phase::Timers);
-        {
-            let slots = &self.slots;
-            self.timers.advance_filtered(now_tick, &mut expired, |ev| {
-                slots[ev.slot]
-                    .as_ref()
-                    .is_some_and(|p| p.generation == ev.generation && p.attempt == ev.attempt)
-            });
-        }
+        self.timers.advance(now_tick, &mut expired);
         self.phase_end(Phase::Timers, t_timers);
-        let mut progress = false;
+        let progress = !expired.is_empty();
         for ev in expired.drain(..) {
-            let Some(p) = self.slots[ev.slot].as_ref() else {
-                continue;
-            };
-            if p.generation != ev.generation || p.attempt != ev.attempt {
-                continue; // lazily cancelled
-            }
+            let p = self.slots[ev.slot]
+                .as_mut()
+                .expect("an armed timer's slot is occupied");
+            debug_assert!(p.timer.is_some(), "slot {} fired unarmed", ev.slot);
+            p.timer = None;
             match ev.kind {
                 EventKind::Send => {
-                    if p.state == PendingState::Scheduled {
-                        self.ready.push_back(ev.slot);
-                        progress = true;
-                    }
+                    debug_assert_eq!(p.state, PendingState::Scheduled);
+                    self.ready.push_back(ev.slot);
                 }
                 EventKind::Deadline => {
-                    if p.state != PendingState::Waiting {
-                        continue;
-                    }
-                    progress = true;
+                    debug_assert_eq!(p.state, PendingState::Waiting);
+                    let attempt = p.attempt;
                     // The attempt is dead: late replies to its id must
                     // land as strays, never match.
                     self.correlation.remove(&(p.socket, p.id));
@@ -515,39 +496,29 @@ impl ShardLoop {
                         table.observe_timeout(p.ingress);
                         self.block.record_rto_backoff();
                     }
-                    if ev.attempt + 1 >= self.policy.attempts.max(1) {
+                    if attempt + 1 >= self.policy.attempts.max(1) {
                         self.block.record_timeout();
                         self.telemetry.emit(
                             0,
                             TelemetryEvent::ProbeTimedOut {
                                 token: p.token,
-                                attempts: ev.attempt + 1,
+                                attempts: attempt + 1,
                             },
                         );
                         self.complete(ev.slot, TransportReply::TimedOut);
                     } else {
-                        let delay = self.policy.delay_before(ev.attempt + 1, &mut self.rng);
-                        let p = self.slots[ev.slot].as_mut().expect("checked above");
+                        let delay = self.policy.delay_before(attempt + 1, &mut self.rng);
                         p.attempt += 1;
                         p.state = PendingState::Scheduled;
-                        let token = p.token;
                         self.block.record_retry();
                         self.telemetry.emit(
                             0,
                             TelemetryEvent::ProbeRetried {
-                                token,
-                                attempt: ev.attempt + 1,
+                                token: p.token,
+                                attempt: attempt + 1,
                             },
                         );
-                        self.timers.schedule(
-                            now_tick + Self::ticks(delay),
-                            TimerEvent {
-                                slot: ev.slot,
-                                generation: ev.generation,
-                                attempt: ev.attempt + 1,
-                                kind: EventKind::Send,
-                            },
-                        );
+                        self.arm(ev.slot, now_tick + Self::ticks(delay), EventKind::Send);
                     }
                 }
             }
@@ -666,15 +637,7 @@ impl ShardLoop {
                             };
                             p.last_rto_us = timeout.as_micros().min(u128::from(u32::MAX)) as u32;
                             let deadline = now_tick + Self::ticks(timeout).max(1);
-                            self.timers.schedule(
-                                deadline,
-                                TimerEvent {
-                                    slot,
-                                    generation: p.generation,
-                                    attempt: p.attempt,
-                                    kind: EventKind::Deadline,
-                                },
-                            );
+                            self.arm(slot, deadline, EventKind::Deadline);
                         } else {
                             // Kernel backpressure: retract and retry next
                             // round (reverse order keeps FIFO).
@@ -1034,11 +997,17 @@ impl ShardLoop {
         );
     }
 
-    /// Retires a slot: frees the correlation entry, recycles the buffer,
-    /// queues the completion for this pass's flush. Timers die by lazy
-    /// cancellation.
+    /// Retires a slot: cancels its armed timer (a matched probe's read
+    /// deadline; a probe retired by its own timer has none left), frees
+    /// the correlation entry, recycles the buffer and queues the
+    /// completion for this pass's flush. So the wheel holds live timers
+    /// only — never more than the slots in use.
     fn complete(&mut self, slot: usize, reply: TransportReply) {
         let p = self.slots[slot].take().expect("completing occupied slot");
+        if let Some(key) = p.timer {
+            let cancelled = self.timers.cancel(key);
+            debug_assert!(cancelled.is_some_and(|ev| ev.slot == slot));
+        }
         self.correlation.remove(&(p.socket, p.id));
         if let Some(ring) = self.flight.as_ref().map(Arc::clone) {
             let now_us = ring.now_us();
@@ -1299,7 +1268,6 @@ mod tests {
             policy,
             limiter: None,
             rng: DetRng::seed(1),
-            generation: 0,
             start: Instant::now(),
             block: Arc::new(MetricsBlock::new()),
             telemetry: TelemetryHub::disabled(),

@@ -6,15 +6,16 @@
 //! traffic (timed out or answered exactly once), and the drop is visible
 //! in [`EngineMetrics`] under the right counter — wrong query id and
 //! late/duplicate replies as strays, id collisions as qname mismatches,
-//! off-path sources as spoofed replies. The last test checks the bound
-//! that keeps ids unique in the first place: no shard holds more probes
-//! than one socket has query ids.
+//! off-path sources as spoofed replies. The last tests check the bounds
+//! on what a shard holds: no more probes than one socket has query ids
+//! (which keeps ids unique in the first place), and no more timers than
+//! probes — retiring a probe, answered or not, takes its timer with it.
 
 use cde_dns::{Message, Name, Question, RecordType};
-use cde_engine::reactor::{Reactor, ReactorConfig};
+use cde_engine::reactor::{ProbeCompletion, Reactor, ReactorConfig};
 use cde_engine::{MetricsSnapshot, RetryPolicy, TransportReply};
 use crossbeam::channel::unbounded;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -229,4 +230,92 @@ fn slab_is_clamped_to_one_sockets_id_space() {
     )
     .unwrap();
     assert_eq!(reactor.metrics().snapshot().slab_capacity, 65_536);
+}
+
+/// Answers every query at once — with `drop_first`, every query but the
+/// first of each name, so each probe is answered on its retransmission.
+fn echo(drop_first: bool) -> Misbehaver {
+    let mut seen = HashSet::new();
+    Misbehaver::launch(move |socket, datagram, peer| {
+        if let Ok(query) = Message::decode(datagram) {
+            if drop_first && seen.insert(query.questions[0].qname().to_string()) {
+                return;
+            }
+            let _ = socket.send_to(&Message::response_to(&query).encode().unwrap(), peer);
+        }
+    })
+}
+
+/// Runs `probes` probes through one shard with `window` in flight — a
+/// new one submitted as each completes — then drains the reactor and
+/// returns its final metrics and every completion.
+fn closed_loop(
+    target: SocketAddr,
+    policy: RetryPolicy,
+    probes: u64,
+    window: u64,
+) -> (MetricsSnapshot, Vec<ProbeCompletion>) {
+    let mut reactor = Reactor::launch(
+        HashMap::from([(INGRESS, target)]),
+        ReactorConfig {
+            shards: 1,
+            ..ReactorConfig::with_policy(policy, 5)
+        },
+    )
+    .unwrap();
+    let (done_tx, done_rx) = unbounded();
+    let handle = reactor.handle();
+    let submit = |token: u64| {
+        let qname: Name = format!("loop{token}.cache.example").parse().unwrap();
+        assert!(handle.submit(token, INGRESS, qname, RecordType::A, &done_tx));
+    };
+    (0..window.min(probes)).for_each(submit);
+    let mut completions = Vec::with_capacity(probes as usize);
+    while (completions.len() as u64) < probes {
+        completions.push(
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("probe never completed"),
+        );
+        let next = completions.len() as u64 + window - 1;
+        if next < probes {
+            submit(next);
+        }
+    }
+    assert!(reactor.shutdown_graceful(Duration::from_secs(5)));
+    (reactor.metrics().snapshot(), completions)
+}
+
+#[test]
+fn answered_probes_take_their_deadlines_out_of_the_wheel() {
+    // Each probe is answered in well under a millisecond and arms a
+    // 250 ms deadline. Left in the wheel until they expire, those
+    // deadlines would pile up by the thousand behind a window of 64.
+    let server = echo(false);
+    let (snap, completions) = closed_loop(server.addr, policy(1, 250), 20_000, 64);
+    assert!(completions.iter().all(|c| c.reply.is_answered()));
+    assert!(snap.in_flight_peak <= 64);
+    assert!(
+        snap.wheel_pending_peak <= snap.in_flight_peak,
+        "{} timers pending at peak for {} probes in flight",
+        snap.wheel_pending_peak,
+        snap.in_flight_peak
+    );
+    assert_eq!(snap.wheel_pending, 0, "timers outlived their probes");
+}
+
+#[test]
+fn retransmitted_probes_leave_an_empty_wheel() {
+    // Every first attempt dies by its deadline, which arms the retry's
+    // send timer, whose send arms the second deadline — answered, so
+    // cancelled. Each probe must still complete exactly once.
+    let server = echo(true);
+    let (snap, completions) = closed_loop(server.addr, policy(2, 20), 2_000, 64);
+    let mut tokens: Vec<u64> = completions.iter().map(|c| c.token).collect();
+    tokens.sort_unstable();
+    assert_eq!(tokens, (0..2_000).collect::<Vec<_>>());
+    assert!(completions.iter().all(|c| c.reply.is_answered()));
+    assert_eq!(snap.retries, 2_000);
+    assert!(snap.wheel_pending_peak <= snap.in_flight_peak);
+    assert_eq!(snap.wheel_pending, 0, "timers outlived their probes");
 }

@@ -353,10 +353,10 @@ fn reported_rtt_is_within_a_margin_of_a_blocking_ping() {
 /// A pass queues its completions and delivers them, one push per
 /// channel, before it waits. The responder stays silent for 5 ms, so
 /// the loop is blocked when the reply lands; after the pass that reads
-/// it, the next wait has nothing to end it but the wheel's next cascade
-/// (up to 64 ms away, where the probe's dead 10 s deadline is shed), so
-/// a completion held until that wait ends would arrive tens of
-/// milliseconds after its reply.
+/// it, the next wait has nothing to end it — the probe's 10 s deadline
+/// left the wheel with the probe — so a completion held until that
+/// wait ends would arrive only with the next submission, which this
+/// test makes only once it has the completion.
 #[test]
 fn lone_completion_is_delivered_before_the_next_wait() {
     const HOLD: Duration = Duration::from_millis(5);
