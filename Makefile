@@ -1,7 +1,7 @@
 # Convenience targets; everything builds offline from vendored deps
 # (third_party/, see README "Offline builds").
 
-.PHONY: build test test-fallback chaos bench-smoke benchmark-smoke bench-json bench-check timing-check analyze-smoke serve-smoke forensics-smoke lint
+.PHONY: build test test-fallback chaos bench-smoke benchmark-smoke analyze-smoke serve-smoke forensics-smoke lint
 
 build:
 	cargo build --release --locked
@@ -32,15 +32,6 @@ bench-smoke:
 benchmark-smoke:
 	CARGO_TARGET_DIR=target cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 	bash benchmark/run.sh --only paced_rtt --seconds 4
-
-# Blocking-vs-reactor campaign throughput at 1k/10k probes over real
-# loopback UDP, plus the 1/2/4/8-shard scaling curve; writes
-# BENCH_engine.json (probes/sec, p50/p99 latency, per-shard throughput)
-# plus BENCH_engine_metrics.json (final reactor metrics-registry
-# snapshot: engine counters, health gauges, pool/limiter/telemetry).
-bench-json:
-	cargo run --release --locked -p cde-bench --bin engine_bench -- \
-		BENCH_engine.json --metrics-out BENCH_engine_metrics.json
 
 # Both chaos suites: the hermetic FaultyTransport tests and the live
 # loopback reactor fault-layer tests. Override the seed with
@@ -80,32 +71,6 @@ forensics-smoke:
 		target/census_flight.jsonl --forensics --check | tee target/census_forensics.txt
 	! grep -q 'wire observations: 0 query_dropped' target/census_forensics.txt
 	grep -q ', 0 reply_dropped' target/census_forensics.txt
-
-# Regenerate the engine benchmark and gate on the committed baseline:
-# fails when the reactor-vs-blocking speedup drops more than 25%, the
-# insight digests-on/off ratio regresses, the pulse-on/pulse-off health
-# sampling ratio regresses, the flight-recorder on/off ratio regresses,
-# per-shard scaling efficiency falls more
-# than 10% below the baseline curve, (on a multi-core host) 2 shards
-# deliver less than 1.6x one shard, or the adaptive timing loop stops
-# beating the static plan on time-to-exact-count (see timing-check).
-bench-check:
-	cargo run --release --locked -p cde-bench --bin engine_bench -- \
-		BENCH_engine.fresh.json
-	cargo run --release --locked -p cde-bench --bin bench_check -- \
-		BENCH_engine.json BENCH_engine.fresh.json
-
-# The time-to-exact-count lane alone: static fixed-budget enumeration
-# vs the adaptive loop (per-ingress RTO + sequential stopping) under a
-# fixed-seed 30% Gilbert-Elliott fault plan. Fails unless both runs
-# recover the planted cache count exactly, the adaptive run stays
-# measurably cheaper in wall-clock and retransmits, and neither ratio
-# regresses past the committed baseline's.
-timing-check:
-	cargo run --release --locked -p cde-bench --bin engine_bench -- \
-		BENCH_engine.timing.fresh.json --timing-only
-	cargo run --release --locked -p cde-bench --bin bench_check -- \
-		BENCH_engine.json BENCH_engine.timing.fresh.json --timing-only
 
 lint:
 	cargo clippy --workspace --all-targets --locked -- -D warnings

@@ -1,12 +1,13 @@
 //! Engine benches: live-path building blocks the campaign hot loop hits
 //! per probe — rate-limiter debits, retry-schedule computation, metrics
-//! recording — plus a full round trip over real loopback UDP.
+//! recording — plus a full round trip through the reactor over real
+//! loopback UDP.
 
 use cde_core::CdeInfra;
 use cde_dns::RecordType;
 use cde_engine::{
     EngineMetrics, RateConfig, RateLimiter, ReactorConfig, ReactorTransport, ResolverConfig,
-    RetryPolicy, Transport, UdpTransport,
+    RetryPolicy, Transport,
 };
 use cde_netsim::{DetRng, SimTime};
 use cde_platform::{NameserverNet, PlatformBuilder, SelectorKind};
@@ -84,43 +85,6 @@ fn bench_metrics_record(c: &mut Criterion) {
     black_box(metrics.snapshot());
 }
 
-fn bench_live_probe_roundtrip(c: &mut Criterion) {
-    // One full probe over real loopback UDP: transport → resolver
-    // (platform resolution) → response. Dominated by socket syscalls and
-    // the resolver's poll loop — the per-probe floor of a live campaign.
-    let mut net = NameserverNet::new();
-    let mut infra = CdeInfra::install(&mut net);
-    let session = infra.new_session(&mut net, 0);
-    let ingress = Ipv4Addr::new(192, 0, 2, 1);
-    let platform = PlatformBuilder::new(3)
-        .ingress(vec![ingress])
-        .egress(vec![Ipv4Addr::new(192, 0, 3, 1)])
-        .cluster(2, SelectorKind::Random)
-        .build();
-    let resolver = cde_engine::LoopbackResolver::launch(
-        platform,
-        net.clone(),
-        None,
-        ResolverConfig::default(),
-        cde_engine::EngineClock::start(),
-    )
-    .expect("loopback sockets");
-    let mut transport = UdpTransport::connect(
-        &resolver,
-        None,
-        net,
-        RetryPolicy::single(Duration::from_secs(1)),
-        3,
-    )
-    .expect("transport sockets");
-
-    c.bench_function("engine/live_probe_roundtrip", |b| {
-        b.iter(|| {
-            black_box(transport.query(ingress, &session.honey, RecordType::A, SimTime::ZERO))
-        });
-    });
-}
-
 fn bench_telemetry_emit(c: &mut Criterion) {
     // Per-event cost of the telemetry seam the reactor's hot path pays:
     // a disabled hub is one branch, an enabled one is a clock read plus
@@ -147,10 +111,11 @@ fn bench_telemetry_emit(c: &mut Criterion) {
 }
 
 fn bench_reactor_probe_roundtrip(c: &mut Criterion) {
-    // The same full loopback round trip, but through the event-driven
-    // reactor's blocking seam: submit → event loop → completion. One
-    // probe at a time, so this measures the seam's overhead, not the
-    // pipelining win (`make bench-json` measures that). Run once with
+    // One full probe over real loopback UDP through the reactor's
+    // blocking seam: submit → event loop → resolver (platform
+    // resolution) → completion. One probe at a time, so this measures
+    // the per-probe floor of a live campaign, not the pipelining win
+    // (the repo benchmark's `reflector_flood` measures that). Run once with
     // telemetry disabled and once with a hub + registry attached — the
     // acceptance bar is that streaming probe lifecycle events costs the
     // reactor hot path within noise (≤2%).
@@ -215,7 +180,6 @@ criterion_group!(
     bench_shard_partition,
     bench_metrics_record,
     bench_telemetry_emit,
-    bench_live_probe_roundtrip,
     bench_reactor_probe_roundtrip
 );
 criterion_main!(benches);

@@ -12,8 +12,8 @@
 //!
 //! This is the hermetic chaos path ([`SimTransport`](crate::SimTransport)
 //! inside, fully deterministic); the live counterpart is the fault layer
-//! inside the [reactor](crate::reactor) and
-//! [`UdpTransport::with_faults`](crate::UdpTransport::with_faults).
+//! inside the [reactor](crate::reactor)
+//! ([`ReactorConfig::faults`](crate::ReactorConfig::faults)).
 
 use crate::metrics::EngineMetrics;
 use crate::transport::{Transport, TransportReply};

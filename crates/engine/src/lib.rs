@@ -9,9 +9,6 @@
 //!   plus [`EngineAccess`](transport::EngineAccess), which adapts any
 //!   transport to `cde-core`'s `AccessChannel` so every enumeration /
 //!   mapping / survey algorithm runs unchanged over the wire.
-//! * [`udp`] — [`UdpTransport`](udp::UdpTransport): real `std::net` UDP
-//!   sockets with a socket pool, randomized query IDs and source ports,
-//!   read deadlines, retries with jittered backoff.
 //! * [`sim`] — [`SimTransport`](sim::SimTransport): the same interface
 //!   over an in-process `cde-platform::ResolutionPlatform`.
 //! * [`authority`] — [`WireAuthority`](authority::WireAuthority): a
@@ -33,7 +30,8 @@
 //!   ([`shard_for_target`](reactor::shard_for_target)), submitted over
 //!   per-shard lock-free rings, and the per-shard metrics blocks merge
 //!   on snapshot; [`ReactorTransport`](reactor::ReactorTransport)
-//!   is its one-probe-at-a-time [`Transport`](transport::Transport) seam.
+//!   is its one-probe-at-a-time [`Transport`](transport::Transport) seam
+//!   and the engine's only live transport.
 //!   With [`ReactorConfig::insight`](reactor::ReactorConfig::insight)
 //!   set, the loops additionally feed per-target `cde-insight` RTT
 //!   digests at reply-match time and sample wall-clock timers around
@@ -48,10 +46,11 @@
 //!   [`RetryPolicy`](retry::RetryPolicy) schedule (which remains the
 //!   upper bound), so lossy-path campaigns stop paying worst-case
 //!   retransmit budgets.
-//! * [`scheduler`] — campaign execution: crossbeam worker pools, bounded
-//!   in-flight probes, token-bucket rate limiting, loss feedback into
-//!   `cde-core::planner`; [`PipelinedCampaign`](scheduler::PipelinedCampaign)
-//!   streams probes through a reactor with a bounded window.
+//! * [`scheduler`] — campaign execution:
+//!   [`PipelinedCampaign`](scheduler::PipelinedCampaign) streams probes
+//!   through a reactor with a bounded, loss-paced window, and its
+//!   [`CampaignReport`](scheduler::CampaignReport) feeds the observed
+//!   loss back into `cde-core::planner`.
 //! * [`timer`] — [`TimerWheel`](timer::TimerWheel): the hierarchical
 //!   timing wheel backing the reactor's deadlines, with O(1)
 //!   cancellation by [`TimerKey`](timer::TimerKey).
@@ -72,8 +71,9 @@
 //! * [`faulty`] — [`FaultyTransport`](faulty::FaultyTransport): any
 //!   transport wrapped in a deterministic `cde-faults::FaultPlan`
 //!   (bursty loss, duplication, delay spikes, REFUSED rate limiting);
-//!   the reactor and [`UdpTransport`](udp::UdpTransport) additionally
-//!   wear plans natively at their socket seams for live-loopback chaos.
+//!   the reactor additionally wears plans natively at its socket seam
+//!   ([`ReactorConfig::faults`](reactor::ReactorConfig::faults)) for
+//!   live-loopback chaos.
 //! * [`flight`] — [`FlightRecorder`](flight::FlightRecorder): the
 //!   always-on black box. With
 //!   [`ReactorConfig::flight`](reactor::ReactorConfig::flight) set, each
@@ -106,7 +106,6 @@ pub mod sim;
 pub mod testbed;
 pub mod timer;
 pub mod transport;
-pub mod udp;
 
 pub use authority::WireAuthority;
 pub use bufpool::{BufferPool, PoolStats};
@@ -126,11 +125,10 @@ pub use resolver::{LoopbackResolver, ResolverConfig};
 pub use retry::RetryPolicy;
 pub use rto::{AdaptiveRtoConfig, RtoTable};
 pub use scheduler::{
-    run_campaign, run_campaign_pipelined, run_campaign_pipelined_reported, CampaignOptions,
-    CampaignReport, PipelinedCampaign, Probe, ProbeOutcome,
+    run_campaign_pipelined, run_campaign_pipelined_reported, CampaignReport, PipelinedCampaign,
+    Probe, ProbeOutcome,
 };
 pub use sim::SimTransport;
 pub use testbed::LiveTestbed;
 pub use timer::{TimerKey, TimerWheel};
 pub use transport::{EngineAccess, Transport, TransportReply};
-pub use udp::UdpTransport;

@@ -4,11 +4,11 @@
 //! and reactor shard hammers from its hot path. [`EngineMetrics`] owns
 //! one block per reactor shard and presents them as a single engine:
 //! every read-side method (`snapshot`, the `Collector` impl) merges the
-//! blocks, while the write-side methods delegate to block 0 so code
-//! that treats the engine as one counter set (the blocking transport,
-//! the scheduler) keeps working unchanged. A sharded reactor instead
-//! grabs `shard(i)` once at launch and records into its own block with
-//! zero cross-core contention.
+//! blocks, while a handful of write-side methods delegate to block 0 so
+//! code that treats the engine as one counter set (the in-process
+//! transports, the pipelined campaign's paced window) needs no shard
+//! index. A reactor shard instead grabs `shard(i)` once at launch and
+//! records into its own block with zero cross-core contention.
 //!
 //! Registering [`EngineMetrics`] into a
 //! [`MetricsRegistry`](cde_telemetry::MetricsRegistry) exposes every
@@ -33,10 +33,10 @@ const BASE_US: u64 = 16;
 const BATCH_BUCKETS: usize = 8;
 
 /// Shared atomic counters for one engine shard (or a whole unsharded
-/// engine — a transport worker pool is "shard 0" of a 1-block engine).
+/// engine — an in-process transport is "shard 0" of a 1-block engine).
 ///
 /// All methods take `&self`; the struct is designed to sit behind an
-/// `Arc` and be hammered from worker threads. `snapshot()` produces a
+/// `Arc`, written by its shard loop while other threads snapshot it. `snapshot()` produces a
 /// consistent-enough point-in-time copy for reporting (individual loads
 /// are relaxed; exact cross-counter consistency is not needed for
 /// telemetry).
@@ -392,11 +392,12 @@ fn bucket_for(us: u64) -> usize {
 /// Shared counters for one engine: one [`MetricsBlock`] per reactor
 /// shard, merged on every read.
 ///
-/// With one block (the default) this behaves exactly like the block
-/// itself did before sharding — same methods, same exported families.
-/// With N blocks, writers pick their block via [`EngineMetrics::shard`]
-/// and readers see merged totals via [`EngineMetrics::snapshot`], or
-/// per-shard series (labelled `shard="i"`) from the `Collector` impl.
+/// Writers pick their block via [`EngineMetrics::shard`]; the few
+/// unsharded writers (the in-process transports and the pipelined
+/// campaign) record into block 0 through the delegates below. Readers
+/// see merged totals via [`EngineMetrics::snapshot`], or per-shard
+/// series (labelled `shard="i"`) from the `Collector` impl; with one
+/// block no `shard` label is added.
 #[derive(Debug)]
 pub struct EngineMetrics {
     blocks: Vec<Arc<MetricsBlock>>,
@@ -472,92 +473,6 @@ impl EngineMetrics {
     /// Records a probe that ran out of attempts.
     pub fn record_timeout(&self) {
         self.blocks[0].record_timeout();
-    }
-
-    /// Records one retry (an attempt after the first).
-    pub fn record_retry(&self) {
-        self.blocks[0].record_retry();
-    }
-
-    /// Records a rate-limiter stall of `waited`.
-    pub fn record_rate_limit_stall(&self, waited: Duration) {
-        self.blocks[0].record_rate_limit_stall(waited);
-    }
-
-    /// Records a datagram that could not be decoded/matched.
-    pub fn record_decode_error(&self) {
-        self.blocks[0].record_decode_error();
-    }
-
-    /// Sets the in-flight gauge, tracking its high-water mark.
-    pub fn set_in_flight(&self, n: u64) {
-        self.blocks[0].set_in_flight(n);
-    }
-
-    /// Records a well-formed reply that matched no outstanding probe.
-    pub fn record_stray_reply(&self) {
-        self.blocks[0].record_stray_reply();
-    }
-
-    /// Records a reply from an address other than the probed target.
-    pub fn record_spoofed_reply(&self) {
-        self.blocks[0].record_spoofed_reply();
-    }
-
-    /// Records an id-matched reply echoing the wrong question.
-    pub fn record_qname_mismatch(&self) {
-        self.blocks[0].record_qname_mismatch();
-    }
-
-    /// Records one batched send of `n` datagrams.
-    pub fn record_send_batch(&self, n: usize) {
-        self.blocks[0].record_send_batch(n);
-    }
-
-    /// Records one reactor loop iteration taking `took`.
-    pub fn record_loop_iteration(&self, took: Duration) {
-        self.blocks[0].record_loop_iteration(took);
-    }
-
-    /// Sets the timer-wheel pending gauge, tracking its high-water mark.
-    pub fn set_wheel_pending(&self, n: u64) {
-        self.blocks[0].set_wheel_pending(n);
-    }
-
-    /// Records the correlation-slab capacity (once, at reactor launch).
-    pub fn set_slab_capacity(&self, n: u64) {
-        self.blocks[0].set_slab_capacity(n);
-    }
-
-    /// Sets the submission-ring occupancy gauge, tracking its high-water
-    /// mark.
-    pub fn set_ring_depth(&self, n: u64) {
-        self.blocks[0].set_ring_depth(n);
-    }
-
-    /// Records one receive call that returned `got` datagrams.
-    pub fn record_recv_batch(&self, got: usize) {
-        self.blocks[0].record_recv_batch(got);
-    }
-
-    /// Records one park of `slept` spent waiting for work.
-    pub fn record_park(&self, slept: Duration) {
-        self.blocks[0].record_park(slept);
-    }
-
-    /// Records one wake-from-park and its wake-to-first-poll latency.
-    pub fn record_wake_latency(&self, latency: Duration) {
-        self.blocks[0].record_wake_latency(latency);
-    }
-
-    /// Records one send armed with an adaptive (learned) deadline.
-    pub fn record_adaptive_deadline(&self) {
-        self.blocks[0].record_adaptive_deadline();
-    }
-
-    /// Records one deadline expiry backing a learned RTO off.
-    pub fn record_rto_backoff(&self) {
-        self.blocks[0].record_rto_backoff();
     }
 
     /// Sets the loss-aware submit-window gauge.
@@ -1083,7 +998,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let m = EngineMetrics::new();
+        let m = MetricsBlock::new();
         m.record_sent();
         m.record_sent();
         m.record_received(Duration::from_micros(300));
@@ -1104,7 +1019,7 @@ mod tests {
 
     #[test]
     fn reactor_counters_accumulate() {
-        let m = EngineMetrics::new();
+        let m = MetricsBlock::new();
         m.set_in_flight(5);
         m.set_in_flight(9);
         m.set_in_flight(2);
@@ -1164,7 +1079,7 @@ mod tests {
 
     #[test]
     fn health_gauges_and_ratios() {
-        let m = EngineMetrics::new();
+        let m = MetricsBlock::new();
         m.set_slab_capacity(1000);
         m.set_in_flight(250);
         m.set_wheel_pending(40);
@@ -1186,7 +1101,7 @@ mod tests {
 
     #[test]
     fn display_always_reports_drop_counters() {
-        let m = EngineMetrics::new();
+        let m = MetricsBlock::new();
         let quiet = m.snapshot().to_string();
         assert!(quiet.contains("0 stray, 0 spoofed, 0 id-collisions"));
         m.record_stray_reply();
@@ -1199,11 +1114,12 @@ mod tests {
     #[test]
     fn collector_exports_families() {
         let m = EngineMetrics::new();
-        m.record_sent();
-        m.record_received(Duration::from_micros(500));
-        m.record_stray_reply();
-        m.set_slab_capacity(64);
-        m.set_wheel_pending(3);
+        let block = m.shard(0);
+        block.record_sent();
+        block.record_received(Duration::from_micros(500));
+        block.record_stray_reply();
+        block.set_slab_capacity(64);
+        block.set_wheel_pending(3);
         let mut metrics = Vec::new();
         m.collect(&mut metrics);
         let find = |name: &str| metrics.iter().find(|x| x.name == name);
@@ -1261,7 +1177,7 @@ mod tests {
 
     #[test]
     fn shard_runtime_counters_accumulate() {
-        let m = EngineMetrics::new();
+        let m = MetricsBlock::new();
         m.set_ring_depth(10);
         m.set_ring_depth(40);
         m.set_ring_depth(5);
@@ -1321,9 +1237,10 @@ mod tests {
     #[test]
     fn shard_runtime_series_are_exported() {
         let m = EngineMetrics::new();
-        m.set_ring_depth(7);
-        m.record_park(Duration::from_micros(100));
-        m.record_wake_latency(Duration::from_micros(25));
+        let block = m.shard(0);
+        block.set_ring_depth(7);
+        block.record_park(Duration::from_micros(100));
+        block.record_wake_latency(Duration::from_micros(25));
         let mut metrics = Vec::new();
         m.collect(&mut metrics);
         let find = |name: &str| metrics.iter().find(|x| x.name == name);
@@ -1438,7 +1355,7 @@ mod tests {
         // The same workload recorded into 1 block vs spread over 4
         // blocks must merge to identical totals (gauge peaks aside —
         // here each shard peaks once, so the sums agree too).
-        let single = EngineMetrics::new();
+        let single = MetricsBlock::new();
         let sharded = EngineMetrics::with_shards(4);
         for i in 0..40u64 {
             let rtt = Duration::from_micros(100 + i * 13);

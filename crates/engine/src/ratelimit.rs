@@ -4,8 +4,9 @@
 //! engine's aggregate send rate, and a *per-target* budget keeps any single
 //! ingress address from seeing a burst even when the global budget would
 //! allow it (the paper's measurements deliberately spread load for this
-//! reason). Both are classic token buckets; `acquire` blocks the calling
-//! worker until both buckets can pay.
+//! reason). Both are classic token buckets. A debit never sleeps: it
+//! returns the wait the caller must absorb, and the reactor pays it by
+//! scheduling the send after that delay.
 
 use cde_telemetry::{Collector, Metric};
 use parking_lot::Mutex;
@@ -157,16 +158,6 @@ impl RateLimiter {
         wait
     }
 
-    /// Blocks until one probe to `target` is within budget; returns the
-    /// time actually waited.
-    pub fn acquire(&self, target: Ipv4Addr) -> Duration {
-        let wait = self.debit(target);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-        wait
-    }
-
     /// Tokens debited so far (probes paid for).
     pub fn tokens_debited(&self) -> u64 {
         self.tokens_debited.load(Ordering::Relaxed)
@@ -255,7 +246,7 @@ struct TenantState {
 ///   own share defers a probe far into the future hands the global
 ///   tokens back rather than holding them hostage.
 ///
-/// Thread-safe; campaign workers share one limiter behind an `Arc`.
+/// Thread-safe; every shard and tenant shares one limiter behind an `Arc`.
 #[derive(Debug)]
 pub struct WeightedRateLimiter {
     global_cfg: RateConfig,
@@ -374,16 +365,6 @@ impl WeightedRateLimiter {
             if let Some(state) = tenants.get_mut(tenant) {
                 state.delay_us += wait.as_micros().min(u128::from(u64::MAX)) as u64;
             }
-        }
-        wait
-    }
-
-    /// Blocks until one probe from `tenant` is within budget; returns
-    /// the time actually waited.
-    pub fn acquire(&self, tenant: &str) -> Duration {
-        let wait = self.debit_n(tenant, 1);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
         }
         wait
     }
@@ -641,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_acquire_paces_tenants_by_weight() {
+    fn weighted_debits_pace_tenants_by_weight() {
         let limiter = Arc::new(WeightedRateLimiter::new(RateConfig {
             per_second: 4000.0,
             burst: 1.0,
@@ -654,7 +635,7 @@ mod tests {
                 let t0 = Instant::now();
                 let mut sent = 0u64;
                 while t0.elapsed() < Duration::from_millis(250) {
-                    limiter.acquire(tenant);
+                    std::thread::sleep(limiter.debit_n(tenant, 1));
                     sent += 1;
                 }
                 sent
@@ -684,7 +665,7 @@ mod tests {
         );
         let t0 = Instant::now();
         for _ in 0..20 {
-            limiter.acquire(ip(1));
+            std::thread::sleep(limiter.debit(ip(1)));
         }
         // 20 probes at 2000/s need ≥ ~9.5 ms (first is burst).
         assert!(t0.elapsed() >= Duration::from_millis(7));

@@ -1,12 +1,11 @@
 //! The probe reactor: thousands of probes in flight, one shard per core.
 //!
-//! [`UdpTransport`](crate::udp::UdpTransport) is lockstep-blocking — each
-//! worker parks in `recv` until reply-or-deadline, so aggregate throughput
-//! is `workers / RTT` no matter what the network could absorb. The
-//! [`Reactor`] replaces that with readiness-driven event loops over
-//! non-blocking sockets; since one loop saturates around a single core's
-//! syscall and correlation budget, the reactor runs **N independent
-//! shards** (default: one per core) and partitions probes across them:
+//! The [`Reactor`] is the engine's only wire path: readiness-driven
+//! event loops over non-blocking sockets, so throughput is bounded by
+//! the loop's per-probe cost, not by `threads / RTT`. Since one loop
+//! saturates around a single core's syscall and correlation budget, the
+//! reactor runs **N independent shards** (default: one per core) and
+//! partitions probes across them:
 //!
 //! * each shard (see [`crate::shard`]) owns its own socket pool,
 //!   **correlation table** keyed on `(socket, query id)`, [hierarchical
@@ -37,20 +36,19 @@
 //! injector's decision stream is stateful and must observe datagrams in
 //! one deterministic transmission order for replays to be exact.
 
-use crate::authority::WireAuthority;
+use crate::authority::{AuthoritySync, Observation, WireAuthority};
 use crate::bufpool::BufferPool;
 use crate::flight::{FlightOptions, FlightRecorder};
 use crate::metrics::EngineMetrics;
 use crate::mulhash::MulMap;
 use crate::ratelimit::RateLimiter;
-use crate::resolver::LoopbackResolver;
+use crate::resolver::{LoopbackResolver, ResolverSync};
 use crate::retry::RetryPolicy;
 use crate::rto::RtoTable;
 pub use crate::shard::shard_for_target;
 use crate::shard::{empty_slots, FaultLayer, ShardLoop, Submission, MAX_SLAB};
 use crate::timer::TimerWheel;
 use crate::transport::{Transport, TransportReply};
-use crate::udp::SyncLink;
 use cde_core::AccessProvider;
 use cde_dns::wire::WireWriter;
 use cde_dns::{Name, RecordType};
@@ -679,9 +677,50 @@ impl std::fmt::Debug for ShardedReactor {
     }
 }
 
+/// Back-channel to the serving side of a live deployment: zone edits go
+/// out to the resolver (and authority), observed queries come back.
+struct SyncLink {
+    resolver: ResolverSync,
+    authority: Option<AuthoritySync>,
+    observations: Receiver<Observation>,
+}
+
+impl SyncLink {
+    fn connect(resolver: &LoopbackResolver, authority: Option<&WireAuthority>) -> SyncLink {
+        SyncLink {
+            resolver: resolver.syncer(),
+            authority: authority.map(WireAuthority::syncer),
+            observations: resolver.observations(),
+        }
+    }
+
+    /// Pushes zone snapshots to the serving side.
+    fn push(&self, net: &NameserverNet) {
+        self.resolver.sync(net);
+        if let Some(authority) = &self.authority {
+            authority.sync(net);
+        }
+    }
+
+    /// Folds queries observed at the serving side into the canonical net.
+    fn drain_into(&self, net: &mut NameserverNet) {
+        for (vaddr, entry) in self.observations.try_iter() {
+            if let Some(server) = net.server_mut(vaddr) {
+                server.record_query(entry);
+            }
+        }
+    }
+}
+
 /// The one-shot blocking seam over a [`Reactor`]: a [`Transport`], so
 /// `cde-core`'s algorithms (and [`EngineAccess`](crate::EngineAccess))
 /// run on the reactor unchanged.
+///
+/// The transport owns the canonical [`NameserverNet`]. Zone edits made
+/// through [`Transport::net_mut`] are pushed to the serving side before
+/// the next probe, and queries observed there are folded back in after
+/// each probe, so `cde-core`'s honey counting reads exactly what it
+/// reads in the simulator.
 pub struct ReactorTransport {
     reactor: Reactor,
     net: NameserverNet,
@@ -693,9 +732,10 @@ pub struct ReactorTransport {
 }
 
 impl ReactorTransport {
-    /// Wires a reactor-backed transport to a launched resolver (and
-    /// optionally the authority behind it), mirroring
-    /// [`UdpTransport::connect`](crate::udp::UdpTransport::connect).
+    /// Wires a reactor-backed transport to a launched resolver (and,
+    /// when the resolver replays upstream traffic, the authority behind
+    /// it). `net` is the canonical authoritative world — normally the
+    /// same net the resolver and authority were launched from.
     pub fn connect(
         resolver: &LoopbackResolver,
         authority: Option<&WireAuthority>,

@@ -1,40 +1,25 @@
-//! The campaign scheduler: bounded-concurrency probe fan-out.
+//! The campaign scheduler: pipelined probe fan-out over a reactor.
 //!
-//! A measurement campaign is thousands of near-identical probes. The
-//! scheduler runs them on a pool of worker threads over a bounded job
-//! channel — the bound *is* the in-flight probe cap — with an optional
-//! shared [`RateLimiter`] pacing the aggregate send rate. Each worker
-//! owns its transport (created in-thread via the factory, so transports
-//! need not be `Send`), and the final [`CampaignReport`] aggregates every
-//! worker's metrics and feeds the observed loss straight back into
-//! `cde-core`'s [`ProbePlan`] — the paper's loss-aware budget planning,
-//! closed over live measurements.
+//! A measurement campaign is thousands of near-identical probes. A
+//! [`PipelinedCampaign`] keeps up to a window of them in flight inside a
+//! [`Reactor`]'s correlation table, shrinking the window when the wire
+//! turns lossy, and the final [`CampaignReport`] feeds the observed loss
+//! straight back into `cde-core`'s [`ProbePlan`] — the paper's
+//! loss-aware budget planning, closed over live measurements. Pacing is
+//! the reactor's: a [`ReactorConfig::limiter`](crate::ReactorConfig::limiter)
+//! schedules sends after their token wait instead of sleeping.
 
-use crate::clock::EngineClock;
 use crate::metrics::MetricsSnapshot;
-use crate::ratelimit::RateLimiter;
 use crate::reactor::{ProbeCompletion, Reactor, ReactorHandle};
-use crate::transport::{Transport, TransportReply};
+use crate::transport::TransportReply;
 use cde_core::ProbePlan;
 use cde_dns::{Name, RecordType};
 use cde_telemetry::{CampaignSpan, EventKind as TelemetryEvent, ProgressReporter};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use crossbeam::thread;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Hardware-derived worker-pool default: blocking probe workers spend
-/// almost all their life parked in `recv`, so oversubscribe the cores;
-/// the floor of 4 keeps even a single-core box pipelined.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(2)
-        .saturating_mul(2)
-        .clamp(4, 32)
-}
 
 /// One probe to schedule.
 #[derive(Debug, Clone)]
@@ -58,31 +43,6 @@ impl Probe {
     }
 }
 
-/// Concurrency and pacing knobs for one campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignOptions {
-    /// Worker threads (each owns one transport).
-    pub workers: usize,
-    /// Maximum probes in flight (bounded job-channel capacity).
-    pub max_in_flight: usize,
-    /// Shared pacing across all workers, when set.
-    pub limiter: Option<Arc<RateLimiter>>,
-}
-
-impl Default for CampaignOptions {
-    fn default() -> CampaignOptions {
-        // Sized from the machine, not hard-coded: `default_workers()`
-        // scales with `available_parallelism`, and the in-flight cap
-        // keeps every worker's job queue a few probes deep.
-        let workers = default_workers();
-        CampaignOptions {
-            workers,
-            max_in_flight: workers * 4,
-            limiter: None,
-        }
-    }
-}
-
 /// One scheduled probe's result.
 #[derive(Debug, Clone)]
 pub struct ProbeOutcome {
@@ -97,13 +57,13 @@ pub struct ProbeOutcome {
 pub struct CampaignReport {
     /// Per-probe outcomes, in submission order.
     pub outcomes: Vec<ProbeOutcome>,
-    /// Datagrams sent across all workers (retransmissions included).
+    /// Datagrams sent (retransmissions included).
     pub sent: u64,
-    /// Responses received across all workers.
+    /// Responses received.
     pub received: u64,
     /// Probes that failed every attempt.
     pub timeouts: u64,
-    /// Retransmissions across all workers.
+    /// Retransmissions.
     pub retries: u64,
     /// Probes that had to wait for rate-limit tokens.
     pub rate_limit_stalls: u64,
@@ -150,91 +110,12 @@ impl CampaignReport {
     }
 }
 
-/// Runs `probes` through worker-owned transports with bounded in-flight
-/// concurrency; blocks until the campaign completes.
-///
-/// `factory(worker_index)` is called once inside each worker thread.
-pub fn run_campaign<T, F>(factory: F, probes: Vec<Probe>, opts: &CampaignOptions) -> CampaignReport
-where
-    T: Transport,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = opts.workers.max(1);
-    let clock = EngineClock::start();
-    let span = cde_telemetry::global().begin_campaign("worker_campaign", probes.len() as u64);
-    let (job_tx, job_rx) = bounded::<(usize, Probe)>(opts.max_in_flight.max(1));
-    let (res_tx, res_rx) = unbounded();
-    let (met_tx, met_rx) = unbounded();
-
-    let (mut indexed, snapshots) = thread::scope(|s| {
-        for worker in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let met_tx = met_tx.clone();
-            let limiter = opts.limiter.clone();
-            let factory = &factory;
-            s.spawn(move |_| {
-                let mut transport = factory(worker);
-                for (index, probe) in job_rx.iter() {
-                    if let Some(limiter) = &limiter {
-                        let waited = limiter.acquire(probe.ingress);
-                        if !waited.is_zero() {
-                            transport.metrics().record_rate_limit_stall(waited);
-                        }
-                    }
-                    let reply =
-                        transport.query(probe.ingress, &probe.qname, probe.qtype, clock.now());
-                    let _ = res_tx.send((index, ProbeOutcome { probe, reply }));
-                }
-                let _ = met_tx.send(transport.metrics().snapshot());
-            });
-        }
-        // The scope's own clones must go, or the iterators below never end.
-        drop(job_rx);
-        drop(res_tx);
-        drop(met_tx);
-        for job in probes.into_iter().enumerate() {
-            // Blocks while the channel is full: this is the in-flight cap.
-            if job_tx.send(job).is_err() {
-                break;
-            }
-        }
-        drop(job_tx);
-        let indexed: Vec<(usize, ProbeOutcome)> = res_rx.iter().collect();
-        let snapshots: Vec<_> = met_rx.iter().collect();
-        (indexed, snapshots)
-    })
-    .expect("campaign worker panicked");
-
-    indexed.sort_by_key(|(index, _)| *index);
-    let mut report = CampaignReport {
-        outcomes: indexed.into_iter().map(|(_, outcome)| outcome).collect(),
-        sent: 0,
-        received: 0,
-        timeouts: 0,
-        retries: 0,
-        rate_limit_stalls: 0,
-    };
-    for snap in snapshots {
-        report.sent += snap.sent;
-        report.received += snap.received;
-        report.timeouts += snap.timeouts;
-        report.retries += snap.retries;
-        report.rate_limit_stalls += snap.rate_limit_stalls;
-    }
-    let completed = report.outcomes.len() as u64;
-    let answered = report.answered() as u64;
-    span.end(completed, answered, completed - answered);
-    report
-}
-
 /// Pipelined campaign execution over a [`Reactor`]: submit probes as they
 /// become known, collect completions as they arrive, no worker threads.
 ///
-/// Where [`run_campaign`] parks one thread per in-flight probe, a
-/// `PipelinedCampaign` keeps up to `window` probes outstanding inside the
-/// reactor's correlation table and the submitting thread never blocks on
-/// the wire (only on a full window). Typical shape:
+/// A `PipelinedCampaign` keeps up to `window` probes outstanding inside
+/// the reactor's correlation table and the submitting thread never
+/// blocks on the wire (only on a full window). Typical shape:
 ///
 /// ```no_run
 /// # use cde_engine::reactor::{Reactor, ReactorConfig};
@@ -472,8 +353,7 @@ impl PipelinedCampaign {
 }
 
 /// Runs `probes` through `reactor` with up to `window` in flight;
-/// blocks until all complete. The pipelined counterpart of
-/// [`run_campaign`].
+/// blocks until all complete.
 pub fn run_campaign_pipelined(
     reactor: &Reactor,
     probes: Vec<Probe>,
@@ -510,77 +390,11 @@ pub fn run_campaign_pipelined_reported(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ratelimit::RateConfig;
-    use crate::sim::SimTransport;
-    use cde_core::CdeInfra;
-    use cde_netsim::Link;
-    use cde_platform::{NameserverNet, PlatformBuilder, SelectorKind};
-    use cde_probers::DirectProber;
-
-    fn sim_factory(worker: usize) -> SimTransport {
-        let mut net = NameserverNet::new();
-        let mut infra = CdeInfra::install(&mut net);
-        // One standing session so probes resolve to real records.
-        infra.new_session(&mut net, 0);
-        let ingress = Ipv4Addr::new(192, 0, 2, 1);
-        let platform = PlatformBuilder::new(worker as u64 + 1)
-            .ingress(vec![ingress])
-            .egress(vec![Ipv4Addr::new(192, 0, 3, 1)])
-            .cluster(3, SelectorKind::Random)
-            .build();
-        let prober = DirectProber::new(
-            Ipv4Addr::new(203, 0, 113, 1),
-            Link::ideal(),
-            worker as u64 + 1,
-        );
-        SimTransport::new(platform, net, prober)
-    }
-
-    fn probes(count: usize) -> Vec<Probe> {
-        // `name-1.cache.example` is the honey record of the factory's
-        // standing session.
-        (0..count)
-            .map(|_| {
-                Probe::a(
-                    Ipv4Addr::new(192, 0, 2, 1),
-                    "name-1.cache.example".parse().expect("static name"),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn campaign_preserves_submission_order_and_counts() {
-        let report = run_campaign(sim_factory, probes(20), &CampaignOptions::default());
-        assert_eq!(report.outcomes.len(), 20);
-        assert_eq!(report.answered(), 20);
-        assert_eq!(report.sent, 20);
-        assert_eq!(report.wire_loss(), 0.0);
-    }
-
-    #[test]
-    fn shared_limiter_paces_all_workers() {
-        let limiter = Arc::new(RateLimiter::new(
-            RateConfig {
-                per_second: 2000.0,
-                burst: 1.0,
-            },
-            None,
-        ));
-        let opts = CampaignOptions {
-            workers: 4,
-            max_in_flight: 4,
-            limiter: Some(limiter),
-        };
-        let report = run_campaign(sim_factory, probes(12), &opts);
-        assert_eq!(report.answered(), 12);
-        assert!(report.rate_limit_stalls > 0, "limiter never engaged");
-    }
+    use crate::reactor::ReactorConfig;
+    use crate::retry::RetryPolicy;
 
     #[test]
     fn pacing_shrinks_the_window_under_total_loss() {
-        use crate::reactor::ReactorConfig;
-        use crate::retry::RetryPolicy;
         // No routes at all: every probe resolves as an unanswered
         // timeout, so the delivered ratio is 0 and pacing must floor
         // the window at a quarter of the configured one.
@@ -612,13 +426,5 @@ mod tests {
         assert_eq!(campaign.paced_window(), 2, "floored at window / 4");
         let report = campaign.finish();
         assert!(report.fully_accounted(16));
-    }
-
-    #[test]
-    fn report_feeds_planner() {
-        let report = run_campaign(sim_factory, probes(4), &CampaignOptions::default());
-        let plan = report.plan_for(8);
-        assert_eq!(plan.loss, 0.0);
-        assert!(plan.probes > 0);
     }
 }

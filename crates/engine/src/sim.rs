@@ -4,8 +4,8 @@
 //! [`ResolutionPlatform`], probing through the same [`DirectProber`] the
 //! rest of the workspace uses. It exists so a measurement campaign can be
 //! developed, seeded and regression-tested deterministically, then pointed
-//! at [`UdpTransport`](crate::udp::UdpTransport) without touching the
-//! algorithm code.
+//! at [`ReactorTransport`](crate::reactor::ReactorTransport) without
+//! touching the algorithm code.
 
 use crate::metrics::EngineMetrics;
 use crate::transport::{Transport, TransportReply};

@@ -3,9 +3,9 @@
 //! [`LiveTestbed`] wires the full live chain together on loopback:
 //!
 //! ```text
-//! UdpTransport ──UDP──▶ LoopbackResolver(platform) ──UDP──▶ WireAuthority
-//!      ▲                        │ observations                   │
-//!      └────────────────────────┴────────── zone sync ◀──────────┘
+//! ReactorTransport ──UDP──▶ LoopbackResolver(platform) ──UDP──▶ WireAuthority
+//!        ▲                          │ observations                   │
+//!        └──────────────────────────┴────────── zone sync ◀──────────┘
 //! ```
 //!
 //! Everything binds `127.0.0.1:0`, so tests and examples run anywhere
@@ -15,8 +15,6 @@ use crate::authority::WireAuthority;
 use crate::clock::EngineClock;
 use crate::reactor::{ReactorConfig, ReactorTransport};
 use crate::resolver::{LoopbackResolver, ResolverConfig};
-use crate::retry::RetryPolicy;
-use crate::udp::UdpTransport;
 use cde_platform::{NameserverNet, ResolutionPlatform};
 use std::io;
 use std::time::Duration;
@@ -61,28 +59,12 @@ impl LiveTestbed {
         })
     }
 
-    /// A live transport over this testbed, owning a canonical copy of the
-    /// authoritative world.
+    /// A live transport over this testbed: probes multiplex through the
+    /// event-driven [`Reactor`](crate::reactor::Reactor), and the
+    /// transport owns a canonical copy of the authoritative world.
     ///
-    /// The resolver's observation stream is drained by whichever transport
-    /// reads it first — create one transport per testbed.
-    pub fn transport(&self, policy: RetryPolicy, seed: u64) -> io::Result<UdpTransport> {
-        UdpTransport::connect(
-            &self.resolver,
-            Some(&self.authority),
-            self.initial_net.clone(),
-            policy,
-            seed,
-        )
-    }
-
-    /// A reactor-backed transport over this testbed: same seam as
-    /// [`LiveTestbed::transport`], but probes multiplex through the
-    /// event-driven [`Reactor`](crate::reactor::Reactor) instead of
-    /// blocking per call.
-    ///
-    /// Like [`LiveTestbed::transport`], the observation stream is drained
-    /// by whichever transport reads it first — create one per testbed.
+    /// The resolver's observation stream is drained by whichever
+    /// transport reads it first — create one transport per testbed.
     pub fn reactor_transport(&self, config: ReactorConfig) -> io::Result<ReactorTransport> {
         ReactorTransport::connect(
             &self.resolver,

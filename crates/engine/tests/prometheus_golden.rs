@@ -29,33 +29,34 @@ fn prometheus_exposition_matches_golden() {
     let registry = MetricsRegistry::new();
 
     let metrics = Arc::new(EngineMetrics::new());
+    let block = metrics.shard(0);
     for _ in 0..6 {
-        metrics.record_sent();
+        block.record_sent();
     }
-    metrics.record_received(Duration::from_micros(120));
-    metrics.record_received(Duration::from_micros(950));
-    metrics.record_received(Duration::from_micros(42_000));
-    metrics.record_received(Duration::from_micros(120_000));
-    metrics.record_retry();
-    metrics.record_timeout();
-    metrics.record_rate_limit_stall(Duration::from_micros(1_500));
-    metrics.record_decode_error();
-    metrics.record_stray_reply();
-    metrics.record_spoofed_reply();
-    metrics.record_qname_mismatch();
-    metrics.set_in_flight(4);
-    metrics.set_in_flight(1);
-    metrics.record_send_batch(3);
-    metrics.record_send_batch(16);
-    metrics.record_loop_iteration(Duration::from_micros(80));
-    metrics.record_recv_batch(3);
-    metrics.record_recv_batch(0);
-    metrics.set_wheel_pending(2);
-    metrics.set_slab_capacity(512);
-    metrics.set_ring_depth(12);
-    metrics.set_ring_depth(3);
-    metrics.record_park(Duration::from_micros(240));
-    metrics.record_wake_latency(Duration::from_micros(35));
+    block.record_received(Duration::from_micros(120));
+    block.record_received(Duration::from_micros(950));
+    block.record_received(Duration::from_micros(42_000));
+    block.record_received(Duration::from_micros(120_000));
+    block.record_retry();
+    block.record_timeout();
+    block.record_rate_limit_stall(Duration::from_micros(1_500));
+    block.record_decode_error();
+    block.record_stray_reply();
+    block.record_spoofed_reply();
+    block.record_qname_mismatch();
+    block.set_in_flight(4);
+    block.set_in_flight(1);
+    block.record_send_batch(3);
+    block.record_send_batch(16);
+    block.record_loop_iteration(Duration::from_micros(80));
+    block.record_recv_batch(3);
+    block.record_recv_batch(0);
+    block.set_wheel_pending(2);
+    block.set_slab_capacity(512);
+    block.set_ring_depth(12);
+    block.set_ring_depth(3);
+    block.record_park(Duration::from_micros(240));
+    block.record_wake_latency(Duration::from_micros(35));
     registry.register(metrics);
 
     let digests = Arc::new(RttDigestSet::for_targets([
