@@ -25,13 +25,16 @@ bench-smoke:
 
 # The repo benchmark (benchmark/, BENCHMARK.json) is what a performance
 # change is judged on, and it is its own cargo package that `build` and
-# `test` never see: run its harness's unit tests, then one short
-# workload end to end. run.sh exits non-zero unless every self-check of
-# the run is ok. Both share the repository's target directory, so the
-# dependencies build once.
+# `test` never see: run its harness's unit tests, then two short
+# workloads end to end. run.sh exits non-zero unless every self-check of
+# the run is ok. `paced_rtt` sends one datagram per call; the
+# `reflector_flood` run drives segmented sends on both ends, checked by
+# its exactly-once and served-equals-sent self-checks. Both share the
+# repository's target directory, so the dependencies build once.
 benchmark-smoke:
 	CARGO_TARGET_DIR=target cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 	bash benchmark/run.sh --only paced_rtt --seconds 4
+	bash benchmark/run.sh --only reflector_flood --seconds 4
 
 # Both chaos suites: the hermetic FaultyTransport tests and the live
 # loopback reactor fault-layer tests. Override the seed with

@@ -7,6 +7,21 @@
 //! `CDE_SYSIO_FALLBACK=1` is set — we degrade to a loop of one-datagram
 //! `send_to`/`recv_from` calls with identical semantics.
 //!
+//! Batching the syscall does not batch the network stack, which is paid
+//! per datagram. So on Linux [`send_batch`] also hands each run of two
+//! or more consecutive datagrams with the same destination and the same
+//! payload length (at most 512 bytes, so a segment fits any
+//! Ethernet-class MTU) to the kernel as one `UDP_SEGMENT` message: one
+//! trip through the UDP/IP stack per run, split back into separate
+//! datagrams, boundaries intact, before the wire or the receiving socket
+//! sees them. The first time the kernel refuses such a message (no
+//! checksum offload on the egress device, `SO_NO_CHECK`), a
+//! process-wide latch turns segmentation off and the unsent items go
+//! out one message each — in the same call when the refused run leads
+//! the batch, else on the caller's retry of the short count. Kernels
+//! before 4.18, which cannot segment, are detected once and never
+//! asked.
+//!
 //! Between bursts a loop has to wait for whichever comes first of a
 //! reply, a submission from another thread, or its next timer. A
 //! [`Poller`] owns the loop's sockets and blocks on them and a
@@ -165,6 +180,10 @@ pub fn backend() -> &'static str {
 
 /// Sends up to [`MAX_BATCH`] datagrams from `items`, returning how many
 /// the kernel accepted (a prefix of `items`).
+///
+/// Runs of same-destination, same-length items go out segmented (see
+/// the [crate docs](crate)); the receiver still gets one datagram per
+/// item, in order, and the count is still of items.
 ///
 /// `Ok(0)` means the socket's send buffer is full right now — try again
 /// after the next reactor tick.

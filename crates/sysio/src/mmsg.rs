@@ -1,10 +1,17 @@
 //! Linux `sendmmsg(2)`/`recvmmsg(2)` via direct FFI.
 //!
 //! The workspace vendors no `libc` crate, but `std` already links
-//! against the platform C library, so declaring the two symbols (plus
+//! against the platform C library, so declaring the few symbols (plus
 //! the handful of `repr(C)` structs from `<bits/socket.h>`) is all the
 //! binding we need. Layouts below match glibc on every 64-bit Linux
 //! target; the struct-size assertions in the tests pin them.
+//!
+//! `send_batch` hands each run of two or more consecutive same-size
+//! datagrams to one destination to the kernel as a single
+//! `UDP_SEGMENT` message: one trip through the UDP/IP stack for the
+//! whole run, split back into separate datagrams before they reach the
+//! wire or the receiving socket. Direct enumeration is exactly such
+//! runs — `q` identical queries for one honey name to one ingress.
 //!
 //! All `unsafe` in the workspace is confined to this crate.
 
@@ -12,9 +19,30 @@ use super::{RecvSlot, SendItem};
 use std::io::{self, ErrorKind};
 use std::net::{Ipv4Addr, SocketAddrV4, UdpSocket};
 use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 const AF_INET: u16 = 2;
 const MSG_DONTWAIT: i32 = 0x40;
+const SOL_UDP: i32 = 17;
+const UDP_SEGMENT: i32 = 103;
+const EIO: i32 = 5;
+const EINVAL: i32 = 22;
+
+/// Longest payload that joins a segmented run. Each segment plus its
+/// IP and UDP headers must fit the egress MTU or the kernel refuses the
+/// whole message; 512 bytes — the classic DNS-over-UDP ceiling — fits
+/// any Ethernet-class link with room to spare, and a probe or its reply
+/// is far smaller.
+const MAX_SEGMENT_LEN: usize = 512;
+
+// The kernel caps a segmented message at `UDP_MAX_SEGMENTS` segments
+// (64 on older kernels); a run never spans more than one batch.
+const _: () = assert!(super::MAX_BATCH <= 64);
+
+/// Set, for the rest of the process, the first time the kernel refuses
+/// a segmented message; every later batch goes out unsegmented.
+static SEGMENTATION_REFUSED: AtomicBool = AtomicBool::new(false);
 
 /// `struct iovec`.
 #[repr(C)]
@@ -77,6 +105,32 @@ struct MsgHdr {
     flags: i32,
 }
 
+/// A `struct cmsghdr` carrying one `u16`: the `SOL_UDP`/`UDP_SEGMENT`
+/// control message, padded to `CMSG_SPACE(2)`.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct SegmentCmsg {
+    /// `CMSG_LEN(2)`: header plus data, without the trailing pad.
+    len: usize,
+    level: i32,
+    kind: i32,
+    /// Bytes per segment; the kernel cuts the message's payload here.
+    gso_size: u16,
+    pad: [u8; 6],
+}
+
+impl SegmentCmsg {
+    fn new(gso_size: u16) -> SegmentCmsg {
+        SegmentCmsg {
+            len: 16 + 2,
+            level: SOL_UDP,
+            kind: UDP_SEGMENT,
+            gso_size,
+            pad: [0; 6],
+        }
+    }
+}
+
 /// `struct mmsghdr`.
 #[repr(C)]
 struct MMsgHdr {
@@ -105,6 +159,7 @@ impl MMsgHdr {
 extern "C" {
     fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
     fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
+    fn getsockopt(fd: i32, level: i32, name: i32, value: *mut u8, len: *mut u32) -> i32;
 }
 
 fn soft_error(e: &io::Error) -> bool {
@@ -113,12 +168,79 @@ fn soft_error(e: &io::Error) -> bool {
 
 pub fn send_batch(sock: &UdpSocket, items: &[SendItem<'_>]) -> io::Result<usize> {
     debug_assert!(items.len() <= super::MAX_BATCH);
+    let segment = items.len() > 1 && segmentation_on(sock);
+    let result = match send_messages(sock, items, segment) {
+        // A refusal of the batch's first message — a segmented run —
+        // rejects the mechanism, not the datagrams: latch segmentation
+        // off and send the same items again, one message each. A refusal
+        // behind an accepted message surfaces as a short count instead
+        // (sendmmsg drops the error), and the caller's next call meets
+        // that run first.
+        Err(e) if segment && joins(&items[0], &items[1]) && refused(&e) => {
+            SEGMENTATION_REFUSED.store(true, Ordering::Relaxed);
+            send_messages(sock, items, false)
+        }
+        result => result,
+    };
+    match result {
+        Err(e) if soft_error(&e) => Ok(0),
+        result => result,
+    }
+}
+
+/// Whether `next` extends a segmented run that `prev` is part of.
+fn joins(prev: &SendItem<'_>, next: &SendItem<'_>) -> bool {
+    let len = next.payload.len();
+    prev.dest == next.dest && prev.payload.len() == len && (1..=MAX_SEGMENT_LEN).contains(&len)
+}
+
+/// `EINVAL` (no checksum offload for the socket — `SO_NO_CHECK` — or an
+/// oversized segment) or `EIO` (an egress device that cannot segment).
+fn refused(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(EIO | EINVAL))
+}
+
+fn segmentation_on(sock: &UdpSocket) -> bool {
+    static SUPPORTED: OnceLock<bool> = OnceLock::new();
+    !SEGMENTATION_REFUSED.load(Ordering::Relaxed)
+        && *SUPPORTED.get_or_init(|| supports_udp_segment(sock))
+}
+
+/// Linux 4.18 and later answer `getsockopt(SOL_UDP, UDP_SEGMENT)`.
+/// Older kernels return `ENOPROTOOPT` — and would skip the unknown
+/// control message and send a run as one concatenated datagram, so
+/// segmentation waits for this answer.
+fn supports_udp_segment(sock: &UdpSocket) -> bool {
+    let mut value: i32 = 0;
+    let mut len = std::mem::size_of::<i32>() as u32;
+    // SAFETY: `value` and `len` are live locals the kernel writes at
+    // most `len` (4) bytes into; the fd is a valid socket.
+    let rc = unsafe {
+        getsockopt(
+            sock.as_raw_fd(),
+            SOL_UDP,
+            UDP_SEGMENT,
+            (&mut value as *mut i32).cast(),
+            &mut len,
+        )
+    };
+    rc == 0
+}
+
+/// One `sendmmsg` over `items`: a message per item, or with `segment`
+/// a message per maximal run of items that [`joins`] links. Returns how
+/// many leading items went out; a segmented message is all-or-nothing,
+/// so that is the sum of the accepted messages' run lengths.
+fn send_messages(sock: &UdpSocket, items: &[SendItem<'_>], segment: bool) -> io::Result<usize> {
     let mut addrs = [SockAddrIn::zeroed(); super::MAX_BATCH];
     let mut iovecs: [IoVec; super::MAX_BATCH] = std::array::from_fn(|_| IoVec {
         base: std::ptr::null_mut(),
         len: 0,
     });
-    let mut hdrs = [MMsgHdr::EMPTY; super::MAX_BATCH];
+    let mut cmsgs = [SegmentCmsg::new(0); super::MAX_BATCH];
+    // Items per message, in send order; a run's iovecs are contiguous.
+    let mut runs = [0usize; super::MAX_BATCH];
+    let mut msgs = 0;
     for (i, item) in items.iter().enumerate() {
         addrs[i] = SockAddrIn::from_v4(item.dest);
         iovecs[i] = IoVec {
@@ -127,39 +249,58 @@ pub fn send_batch(sock: &UdpSocket, items: &[SendItem<'_>]) -> io::Result<usize>
             base: item.payload.as_ptr() as *mut u8,
             len: item.payload.len(),
         };
-        hdrs[i] = MMsgHdr {
-            hdr: MsgHdr {
-                name: &mut addrs[i],
-                namelen: std::mem::size_of::<SockAddrIn>() as u32,
-                iov: &mut iovecs[i],
-                iovlen: 1,
-                control: std::ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            },
-            len: 0,
-        };
+        if segment && i > 0 && joins(&items[i - 1], item) {
+            runs[msgs - 1] += 1;
+            // `joins` bounds the length by MAX_SEGMENT_LEN.
+            cmsgs[msgs - 1] = SegmentCmsg::new(item.payload.len() as u16);
+        } else {
+            runs[msgs] = 1;
+            msgs += 1;
+        }
     }
-    // SAFETY: every pointer in the first `items.len()` headers — all
-    // that vlen lets the kernel touch — targets a live stack slot
-    // (`addrs`, `iovecs`) or one of the caller's payloads, and all of
-    // them outlive the call; the fd is a valid UDP socket.
+    // Every slot is written before any pointer into them is taken, so no
+    // later write can invalidate one.
+    let (addr, iov, cmsg) = (addrs.as_mut_ptr(), iovecs.as_mut_ptr(), cmsgs.as_mut_ptr());
+    let mut hdrs = [MMsgHdr::EMPTY; super::MAX_BATCH];
+    let mut first = 0;
+    for (m, hdr) in hdrs.iter_mut().take(msgs).enumerate() {
+        let (control, controllen) = if runs[m] > 1 {
+            (
+                cmsg.wrapping_add(m).cast::<u8>(),
+                std::mem::size_of::<SegmentCmsg>(),
+            )
+        } else {
+            (std::ptr::null_mut(), 0)
+        };
+        hdr.hdr = MsgHdr {
+            name: addr.wrapping_add(first),
+            namelen: std::mem::size_of::<SockAddrIn>() as u32,
+            iov: iov.wrapping_add(first),
+            iovlen: runs[m],
+            control,
+            controllen,
+            flags: 0,
+        };
+        first += runs[m];
+    }
+    // SAFETY: every pointer in the first `msgs` headers — all that vlen
+    // lets the kernel touch — targets a live stack slot (`addrs`,
+    // `iovecs`, `cmsgs`, each indexed below `items.len()`) or one of the
+    // caller's payloads, and all of them outlive the call; a run's
+    // `iovlen` iovecs are contiguous and in bounds because the runs
+    // partition `items`. The fd is a valid UDP socket.
     let rc = unsafe {
         sendmmsg(
             sock.as_raw_fd(),
             hdrs.as_mut_ptr(),
-            items.len() as u32,
+            msgs as u32,
             MSG_DONTWAIT,
         )
     };
     if rc < 0 {
-        let e = io::Error::last_os_error();
-        if soft_error(&e) {
-            return Ok(0);
-        }
-        return Err(e);
+        return Err(io::Error::last_os_error());
     }
-    Ok(rc as usize)
+    Ok(runs[..rc as usize].iter().sum())
 }
 
 pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize> {
@@ -190,7 +331,7 @@ pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize>
             len: 0,
         };
     }
-    // SAFETY: as in send_batch — the first `slots.len()` headers point
+    // SAFETY: as in send_messages — the first `slots.len()` headers point
     // at live buffers that outlive the call and vlen stops the kernel
     // there; a null timeout means "no timeout" (we pass MSG_DONTWAIT so
     // the call never blocks).
@@ -232,6 +373,9 @@ mod tests {
         assert_eq!(std::mem::size_of::<MsgHdr>(), 56);
         assert_eq!(std::mem::size_of::<MMsgHdr>(), 64);
         assert_eq!(std::mem::align_of::<MMsgHdr>(), 8);
+        // CMSG_SPACE(sizeof(uint16_t)) on LP64.
+        assert_eq!(std::mem::size_of::<SegmentCmsg>(), 24);
+        assert_eq!(std::mem::align_of::<SegmentCmsg>(), 8);
     }
 
     #[test]
@@ -241,32 +385,84 @@ mod tests {
         assert_eq!(SockAddrIn::zeroed().to_v4(), None);
     }
 
-    #[test]
-    fn mmsg_roundtrip_over_loopback() {
-        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
-        a.set_nonblocking(true).unwrap();
-        b.set_nonblocking(true).unwrap();
-        let dest = match b.local_addr().unwrap() {
+    fn bound() -> (UdpSocket, SocketAddrV4) {
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.set_nonblocking(true).unwrap();
+        let addr = match sock.local_addr().unwrap() {
             std::net::SocketAddr::V4(v4) => v4,
             _ => unreachable!(),
         };
+        (sock, addr)
+    }
+
+    /// Receives until `want` datagrams have arrived or two seconds pass.
+    fn drain(sock: &UdpSocket, want: usize) -> Vec<Vec<u8>> {
+        let mut slots: Vec<RecvSlot> = (0..super::super::MAX_BATCH)
+            .map(|_| RecvSlot::new())
+            .collect();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        let mut got = Vec::new();
+        while got.len() < want && std::time::Instant::now() < deadline {
+            let n = recv_batch(sock, &mut slots).unwrap();
+            got.extend(slots[..n].iter().map(|s| s.bytes().to_vec()));
+        }
+        got
+    }
+
+    /// Runs split by destination, by payload length and around payloads
+    /// too long to segment, with singletons between them, all in one
+    /// call: every datagram arrives alone, byte-exact, in send order.
+    #[test]
+    fn mixed_batch_segments_runs_and_keeps_boundaries() {
+        let (tx, _) = bound();
+        let (rx_a, a) = bound();
+        let (rx_b, b) = bound();
+        // (destination, payload length) per item, in send order.
+        let plan: Vec<(SocketAddrV4, usize)> = [
+            (a, 20, 4),  // run
+            (b, 20, 3),  // split by destination
+            (b, 21, 2),  // split by length
+            (a, 30, 1),  // singleton
+            (a, 600, 3), // too long to segment: three singletons
+            (a, 512, 2), // run at the cap
+            (b, 7, 1),   // singleton
+            (a, 20, 2),  // run
+        ]
+        .iter()
+        .flat_map(|&(dest, len, k)| std::iter::repeat_n((dest, len), k))
+        .collect();
+        let payloads: Vec<Vec<u8>> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, len))| (0..len).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        let items: Vec<SendItem<'_>> = plan
+            .iter()
+            .zip(&payloads)
+            .map(|(&(dest, _), p)| SendItem { payload: p, dest })
+            .collect();
+        assert_eq!(send_batch(&tx, &items).unwrap(), items.len());
+        for (rx, addr) in [(&rx_a, a), (&rx_b, b)] {
+            let want: Vec<Vec<u8>> = plan
+                .iter()
+                .zip(&payloads)
+                .filter(|((dest, _), _)| *dest == addr)
+                .map(|(_, p)| p.clone())
+                .collect();
+            assert_eq!(drain(rx, want.len()), want);
+        }
+    }
+
+    #[test]
+    fn mmsg_roundtrip_over_loopback() {
+        let (a, _) = bound();
+        let (b, dest) = bound();
         let payloads: Vec<Vec<u8>> = (0..4u8).map(|i| vec![0xA0 | i; 12]).collect();
         let items: Vec<SendItem<'_>> = payloads
             .iter()
             .map(|p| SendItem { payload: p, dest })
             .collect();
         assert_eq!(send_batch(&a, &items).unwrap(), 4);
-
-        let mut slots: Vec<RecvSlot> = (0..4).map(|_| RecvSlot::new()).collect();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        let mut got = 0;
-        while got < 4 && std::time::Instant::now() < deadline {
-            got += recv_batch(&b, &mut slots[got..]).unwrap();
-        }
-        assert_eq!(got, 4);
-        for (slot, payload) in slots.iter().zip(&payloads) {
-            assert_eq!(slot.bytes(), &payload[..]);
-        }
+        assert_eq!(drain(&b, 4), payloads);
     }
 }
