@@ -11,11 +11,13 @@ test:
 
 # The portable cde-sysio backends (one-datagram send/recv loop, bounded
 # park instead of ppoll) are what every non-Linux target runs and what
-# nothing on a Linux box exercises unless forced: run the sysio suite
-# and the reactor suites that lean on the wait with the fallback on.
+# nothing on a Linux box exercises unless forced: run the sysio suite,
+# the engine's unit tests (the batched resolver serving without
+# coalesced receives) and the reactor suites that lean on the wait with
+# the fallback on.
 test-fallback:
 	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-sysio
-	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-engine \
+	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-engine --lib \
 		--test reactor_correlation --test reactor_shard --test reactor_wait
 
 # Run every criterion bench exactly once — a fast correctness pass over
@@ -29,12 +31,16 @@ bench-smoke:
 # workloads end to end. run.sh exits non-zero unless every self-check of
 # the run is ok. `paced_rtt` sends one datagram per call; the
 # `reflector_flood` run drives segmented sends on both ends, checked by
-# its exactly-once and served-equals-sent self-checks. Both share the
-# repository's target directory, so the dependencies build once.
+# its exactly-once and served-equals-sent self-checks; the `chain_flood`
+# run drives LoopbackResolver's batched serving (coalesced receives,
+# segmented replies), checked by its honey-fetch and every-probe-
+# accounted self-checks. All share the repository's target directory,
+# so the dependencies build once.
 benchmark-smoke:
 	CARGO_TARGET_DIR=target cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 	bash benchmark/run.sh --only paced_rtt --seconds 4
 	bash benchmark/run.sh --only reflector_flood --seconds 4
+	bash benchmark/run.sh --only chain_flood --seconds 4
 
 # Both chaos suites: the hermetic FaultyTransport tests and the live
 # loopback reactor fault-layer tests. Override the seed with

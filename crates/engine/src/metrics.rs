@@ -240,8 +240,8 @@ impl MetricsBlock {
         self.ring_depth_peak.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// Records one receive call that returned `got` datagrams (a failed
-    /// call counts as returning none).
+    /// Records one receive call that returned `got` messages — a
+    /// coalesced run is one — (a failed call counts as returning none).
     pub fn record_recv_batch(&self, got: usize) {
         self.recv_calls.fetch_add(1, Ordering::Relaxed);
         if got == 0 {

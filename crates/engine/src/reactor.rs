@@ -455,6 +455,10 @@ impl ShardedReactor {
             for _ in 0..per_shard_sockets {
                 let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
                 socket.set_nonblocking(true)?;
+                // A run of replies then arrives as one message (see
+                // `ShardLoop::receive`); where the kernel cannot, each
+                // arrives alone, as before.
+                cde_sysio::coalesce_receives(&socket);
                 addrs.push(socket.local_addr()?);
                 sockets.push(socket);
             }

@@ -17,12 +17,12 @@ use crate::clock::EngineClock;
 use cde_dns::{Message, Question, Rcode};
 use cde_netsim::DetRng;
 use cde_platform::{NameserverNet, ResolutionPlatform, ResolveResult};
-use cde_sysio::{Poller, Waker};
+use cde_sysio::{Poller, RecvSlot, SendItem, Waker, MAX_BATCH};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::Rng;
 use std::collections::HashMap;
 use std::io;
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,32 +34,17 @@ const REPLAY_TIMEOUT: Duration = Duration::from_millis(250);
 /// Datagrams drained per socket per loop pass. A reactor-driven campaign
 /// lands whole `sendmmsg` bursts at once; the cap keeps one busy ingress
 /// from starving the others (and the zone-snapshot channel) for longer
-/// than a burst.
+/// than a burst. A pass stops reading a socket once it has handled this
+/// many, so it may overshoot by what its last receive call brought.
 const RECV_BURST: usize = 64;
 
 /// Behaviour knobs for the loopback platform front-end.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ResolverConfig {
     /// Probability an inbound client query is silently dropped.
     pub query_loss: f64,
-    /// Probability a computed response is silently dropped.
-    pub response_loss: f64,
-    /// Seed for the loss/latency RNG (deterministic runs).
+    /// Seed for the loss RNG (deterministic runs).
     pub seed: u64,
-    /// Fraction of the platform's simulated latency actually slept
-    /// before responding (0.0 = answer immediately).
-    pub latency_scale: f64,
-}
-
-impl Default for ResolverConfig {
-    fn default() -> ResolverConfig {
-        ResolverConfig {
-            query_loss: 0.0,
-            response_loss: 0.0,
-            seed: 0,
-            latency_scale: 0.0,
-        }
-    }
 }
 
 enum Control {
@@ -113,6 +98,9 @@ impl LoopbackResolver {
         for &ingress in &ingresses {
             let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
             socket.set_nonblocking(true)?;
+            // A client's run of identical queries then arrives as one
+            // message; the serve loop cuts it apart.
+            cde_sysio::coalesce_receives(&socket);
             ingress_addrs.insert(ingress, socket.local_addr()?);
             sockets.push(socket);
         }
@@ -262,7 +250,8 @@ fn run(
         sockets: HashMap::new(),
         rng: DetRng::seed(cfg.seed).fork("replayer"),
     });
-    let mut buf = [0u8; MAX_DATAGRAM];
+    let mut slots: Vec<RecvSlot> = (0..MAX_BATCH).map(|_| RecvSlot::new()).collect();
+    let mut replies: Vec<(Vec<u8>, SocketAddrV4)> = Vec::with_capacity(RECV_BURST);
     while !shutdown.load(Ordering::SeqCst) {
         // Zone edits first, so a snapshot pushed before a probe arrives is
         // always visible to that probe's resolution: the probe's datagram
@@ -278,28 +267,41 @@ fn run(
             if !poller.ready(i) {
                 continue;
             }
-            // Drain a whole burst per pass: batched senders deliver many
-            // datagrams between two polls of this loop.
-            for _ in 0..RECV_BURST {
-                let (len, peer) = match socket.recv_from(&mut buf) {
-                    Ok(ok) => ok,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                };
+            // Drain a whole burst per pass, a batch per call: batched
+            // senders deliver many datagrams between two polls of this
+            // loop. Datagrams are handled in arrival order, so the loss
+            // RNG sees the order a one-by-one read would.
+            let mut handled = 0;
+            while handled < RECV_BURST {
+                let got = cde_sysio::recv_batch(socket, &mut slots).unwrap_or(0);
+                if got == 0 {
+                    break;
+                }
                 served = true;
-                handle_datagram(
-                    &mut platform,
-                    &mut net,
-                    *ingress,
-                    socket,
-                    &buf[..len],
-                    peer,
-                    &mut rng,
-                    &mut replayer,
-                    &obs_tx,
-                    &cfg,
-                    clock,
-                );
+                for slot in &slots[..got] {
+                    let Some(peer) = slot.from() else { continue };
+                    for datagram in slot.datagrams() {
+                        handled += 1;
+                        let reply = handle_datagram(
+                            &mut platform,
+                            &mut net,
+                            *ingress,
+                            datagram,
+                            peer,
+                            &mut rng,
+                            &mut replayer,
+                            &obs_tx,
+                            &cfg,
+                            clock,
+                        );
+                        replies.extend(reply.map(|bytes| (bytes, peer)));
+                    }
+                }
+                send_replies(socket, &replies);
+                replies.clear();
+                if got < slots.len() {
+                    break;
+                }
             }
         }
         // Block until a query lands (or `Drop` fires the waker). What a
@@ -310,33 +312,52 @@ fn run(
     }
 }
 
+/// Sends one batch's replies from the ingress socket that received
+/// their queries: a run of same-size replies to one client leaves as
+/// one segmented message. A reply the kernel refuses — a full send
+/// buffer, a socket error — is dropped, as a lone `send_to` would
+/// drop it; the client's retry covers it.
+fn send_replies(socket: &UdpSocket, replies: &[(Vec<u8>, SocketAddrV4)]) {
+    let items: Vec<SendItem<'_>> = replies
+        .iter()
+        .map(|(payload, dest)| SendItem {
+            payload,
+            dest: *dest,
+        })
+        .collect();
+    let mut sent = 0;
+    while sent < items.len() {
+        match cde_sysio::send_batch(socket, &items[sent..]) {
+            Ok(0) => break,
+            Ok(n) => sent += n,
+            Err(_) => sent += 1,
+        }
+    }
+}
+
+/// Resolves one client datagram and returns the reply to send, if any.
 #[allow(clippy::too_many_arguments)]
 fn handle_datagram(
     platform: &mut ResolutionPlatform,
     net: &mut NameserverNet,
     ingress: Ipv4Addr,
-    socket: &UdpSocket,
     datagram: &[u8],
-    peer: SocketAddr,
+    peer: SocketAddrV4,
     rng: &mut DetRng,
     replayer: &mut Option<Replayer>,
     obs_tx: &ObsSender,
     cfg: &ResolverConfig,
     clock: EngineClock,
-) {
+) -> Option<Vec<u8>> {
     // Untrusted bytes from the wire: drop anything malformed.
-    let Ok(query) = Message::decode(datagram) else {
-        return;
-    };
+    let query = Message::decode(datagram).ok()?;
     if query.is_response() {
-        return;
+        return None;
     }
-    let Some(question) = query.question().cloned() else {
-        return;
-    };
+    let question = query.question().cloned()?;
     // Injected request-direction loss: the query never "reaches" us.
     if cfg.query_loss > 0.0 && rng.gen_bool(cfg.query_loss) {
-        return;
+        return None;
     }
     // Each distinct client port is a distinct synthetic client address, so
     // the platform's per-client behaviour (selectors, logs) still varies.
@@ -371,39 +392,24 @@ fn handle_datagram(
 
     let mut resp = Message::response_to(&query);
     match response {
-        Ok(platform_response) => {
-            let outcome = platform_response.outcome;
-            match outcome.result {
-                ResolveResult::Records(records) => {
-                    resp.answers = records;
-                }
-                ResolveResult::NxDomain => resp.flags.rcode = Rcode::NxDomain,
-                ResolveResult::NoData => {}
-                ResolveResult::ServFail => resp.flags.rcode = Rcode::ServFail,
+        Ok(platform_response) => match platform_response.outcome.result {
+            ResolveResult::Records(records) => {
+                resp.answers = records;
             }
-            if cfg.latency_scale > 0.0 {
-                std::thread::sleep(Duration::from_micros(
-                    (outcome.latency.as_micros() as f64 * cfg.latency_scale) as u64,
-                ));
-            }
-        }
+            ResolveResult::NxDomain => resp.flags.rcode = Rcode::NxDomain,
+            ResolveResult::NoData => {}
+            ResolveResult::ServFail => resp.flags.rcode = Rcode::ServFail,
+        },
         // A query for an address that is not an ingress of this platform:
         // answer REFUSED, as a real open resolver would.
         Err(_) => resp.flags.rcode = Rcode::Refused,
     }
-    // Injected response-direction loss: the answer is computed (caches
-    // warmed, honey fetched) but never arrives.
-    if cfg.response_loss > 0.0 && rng.gen_bool(cfg.response_loss) {
-        return;
-    }
-    if let Ok(bytes) = resp.encode() {
-        let _ = socket.send_to(&bytes, peer);
-    }
+    resp.encode().ok()
 }
 
 /// Maps a real loopback peer to a synthetic client address in the CGNAT
 /// range (`100.64.0.0/10`), one per source port.
-fn synth_client(peer: SocketAddr) -> Ipv4Addr {
+fn synth_client(peer: SocketAddrV4) -> Ipv4Addr {
     let port = peer.port();
     Ipv4Addr::new(100, 64, (port >> 8) as u8, (port & 0xff) as u8)
 }
@@ -443,6 +449,70 @@ mod tests {
         let mut buf = [0u8; MAX_DATAGRAM];
         let (len, _) = sock.recv_from(&mut buf).ok()?;
         Message::decode(&buf[..len]).ok()
+    }
+
+    /// Sends queries `0..n` for `qname` from one client socket in
+    /// `send_batch` calls — identical-size queries, so segmented runs —
+    /// and returns the ids of the replies, sorted.
+    fn ask_burst(addr: SocketAddr, n: u16, qname: &cde_dns::Name) -> Vec<u16> {
+        let SocketAddr::V4(dest) = addr else {
+            unreachable!("the resolver binds 127.0.0.1")
+        };
+        let sock = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        sock.set_nonblocking(true).unwrap();
+        let queries: Vec<Vec<u8>> = (0..n)
+            .map(|id| {
+                Message::query(id, Question::new(qname.clone(), RecordType::A))
+                    .encode()
+                    .unwrap()
+            })
+            .collect();
+        let items: Vec<SendItem<'_>> = queries
+            .iter()
+            .map(|payload| SendItem { payload, dest })
+            .collect();
+        let mut sent = 0;
+        while sent < items.len() {
+            sent += cde_sysio::send_batch(&sock, &items[sent..]).unwrap();
+        }
+        sock.set_nonblocking(false).unwrap();
+        sock.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut ids = Vec::new();
+        let mut buf = [0u8; MAX_DATAGRAM];
+        while let Ok((len, _)) = sock.recv_from(&mut buf) {
+            let reply = Message::decode(&buf[..len]).unwrap();
+            assert!(reply.is_response());
+            assert_eq!(reply.question().map(Question::qname), Some(qname));
+            ids.push(reply.id);
+        }
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn segmented_burst_gets_one_reply_per_query() {
+        let (resolver, ingress, honey) = launch_simple(ResolverConfig::default());
+        let addr = resolver.addr_of(ingress).unwrap();
+        assert_eq!(ask_burst(addr, 64, &honey), (0..64).collect::<Vec<u16>>());
+    }
+
+    /// Batched serving draws the loss RNG in arrival order, as the
+    /// one-datagram-per-read loop it replaced did: the same seed drops
+    /// the same queries. The ids are the ones that loop answered.
+    #[test]
+    fn seeded_query_loss_answers_the_same_ids_as_one_by_one_serving() {
+        let (resolver, ingress, honey) = launch_simple(ResolverConfig {
+            query_loss: 0.25,
+            seed: 7,
+        });
+        let addr = resolver.addr_of(ingress).unwrap();
+        let answered: Vec<u16> = vec![
+            0, 2, 3, 4, 5, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24, 26, 29,
+            32, 33, 35, 36, 37, 39, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 53, 54, 56, 57, 58,
+            59, 60, 62,
+        ];
+        assert_eq!(ask_burst(addr, 64, &honey), answered);
     }
 
     #[test]

@@ -699,12 +699,16 @@ impl ShardLoop {
                     break;
                 }
                 progress = true;
+                // A coalesced run is many replies from one source; each
+                // is checked and correlated on its own.
                 for rs in recv_slots.iter().take(got) {
                     let Some(from) = rs.from() else { continue };
-                    if self.faults.is_some() {
-                        self.receive_faulty(socket_idx, rs.bytes(), from);
-                    } else {
-                        self.process_datagram(socket_idx, rs.bytes(), from);
+                    for datagram in rs.datagrams() {
+                        if self.faults.is_some() {
+                            self.receive_faulty(socket_idx, datagram, from);
+                        } else {
+                            self.process_datagram(socket_idx, datagram, from);
+                        }
                     }
                 }
                 if got < recv_slots.len() {

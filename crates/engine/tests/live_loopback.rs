@@ -137,7 +137,6 @@ fn enumeration_over_reactor_survives_injected_loss() {
         ResolverConfig {
             query_loss: 0.25,
             seed: 7,
-            ..ResolverConfig::default()
         },
     )
     .unwrap();

@@ -22,6 +22,17 @@
 //! before 4.18, which cannot segment, are detected once and never
 //! asked.
 //!
+//! The receive side mirrors this. A socket passed to
+//! [`coalesce_receives`] asks the kernel (`UDP_GRO`, Linux 5.0 and
+//! later) to deliver such a run as it arrived: one message, one trip up
+//! the stack, with the segment size beside it. [`recv_batch`] records
+//! that size in the [`RecvSlot`], and [`RecvSlot::datagrams`] cuts the
+//! message back into the datagrams that were sent. Every slot can hold
+//! the largest run the kernel delivers (64 KiB), in memory that is
+//! committed only where a receive writes. Where the kernel cannot
+//! coalesce, and on the portable backend, each message is one datagram
+//! and `datagrams()` yields it alone.
+//!
 //! Between bursts a loop has to wait for whichever comes first of a
 //! reply, a submission from another thread, or its next timer. A
 //! [`Poller`] owns the loop's sockets and blocks on them and a
@@ -30,8 +41,9 @@
 //!
 //! This is deliberately the *only* crate in the workspace that contains
 //! `unsafe` code (the FFI structs and calls live in [`mmsg`] and
-//! [`poll`], the SIGUSR1 latch in [`signal`], and the lock-free
-//! submission ring in [`MpscRing`]); every other crate keeps
+//! [`poll`], the receive slots' mappings in `mapped`, the SIGUSR1
+//! latch in [`signal`], and the lock-free submission ring in
+//! [`MpscRing`]); every other crate keeps
 //! `#![forbid(unsafe_code)]`.
 //!
 //! The batch functions assume a non-blocking socket: "nothing to do
@@ -67,6 +79,7 @@
 //!     got = recv_batch(&poller.sockets()[0], &mut slots)?;
 //! }
 //! assert_eq!(slots[0].bytes(), b"ping");
+//! assert_eq!(slots[0].datagrams().collect::<Vec<_>>(), [b"ping"]);
 //! # Ok(())
 //! # }
 //! ```
@@ -77,6 +90,7 @@ use std::io;
 use std::net::{SocketAddrV4, UdpSocket};
 use std::sync::OnceLock;
 
+mod mapped;
 #[cfg(target_os = "linux")]
 mod mmsg;
 pub mod poll;
@@ -91,11 +105,6 @@ pub use signal::{take_sigusr1, watch_sigusr1};
 /// pass longer slices; the excess simply waits for the next call.
 pub const MAX_BATCH: usize = 32;
 
-/// Receive buffer size per slot. Measurement replies are single
-/// questions plus a handful of records — far below this, and anything
-/// larger is truncated exactly as a fixed-size `recv_from` would.
-pub const RECV_BUF_LEN: usize = 2048;
-
 /// One outbound datagram in a [`send_batch`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct SendItem<'a> {
@@ -107,32 +116,58 @@ pub struct SendItem<'a> {
 
 /// One reusable receive slot for [`recv_batch`].
 ///
-/// Slots own their buffer; constructing a slot allocates once and every
-/// subsequent `recv_batch` call reuses it.
+/// A slot holds one received message: a single datagram, or — on a
+/// socket that [`coalesce_receives`] — a whole segmented run, which
+/// [`datagrams`](RecvSlot::datagrams) cuts back apart. Its 64 KiB
+/// buffer holds the largest either can be, and is mapped once when the
+/// slot is made; pages are committed as receives first write them, and
+/// every later `recv_batch` call reuses them.
 #[derive(Debug)]
 pub struct RecvSlot {
-    buf: Vec<u8>,
+    buf: mapped::SlotBuf,
     len: usize,
     from: Option<SocketAddrV4>,
+    /// Bytes per datagram of a coalesced message; 0 for one datagram.
+    segment: usize,
 }
 
 impl RecvSlot {
-    /// Creates an empty slot with a [`RECV_BUF_LEN`]-byte buffer.
+    /// Creates an empty slot.
     pub fn new() -> RecvSlot {
         RecvSlot {
-            buf: vec![0; RECV_BUF_LEN],
+            buf: mapped::SlotBuf::new(),
             len: 0,
             from: None,
+            segment: 0,
         }
     }
 
-    /// The datagram received into this slot by the last `recv_batch`
-    /// call that filled it. Empty if the slot was not filled.
+    /// The message received into this slot by the last `recv_batch`
+    /// call that filled it. Empty if the slot was not filled. On a
+    /// coalescing socket this can be several datagrams back to back;
+    /// [`datagrams`](RecvSlot::datagrams) separates them.
     pub fn bytes(&self) -> &[u8] {
         &self.buf[..self.len]
     }
 
-    /// Source address of the received datagram, if the slot was filled.
+    /// The datagrams of the received message, in the order they were
+    /// sent: the message cut every segment size bytes (the last piece
+    /// may be shorter) when the kernel coalesced a run, else the
+    /// message itself. Nothing if the slot was not filled.
+    pub fn datagrams(&self) -> Datagrams<'_> {
+        Datagrams {
+            rest: self.from.map(|_| self.bytes()),
+            segment: if self.segment == 0 {
+                usize::MAX
+            } else {
+                self.segment
+            },
+        }
+    }
+
+    /// Source address of the received message, if the slot was filled.
+    /// All datagrams of a coalesced message share it: the kernel only
+    /// merges datagrams of one flow.
     pub fn from(&self) -> Option<SocketAddrV4> {
         self.from
     }
@@ -141,11 +176,15 @@ impl RecvSlot {
     pub fn reset(&mut self) {
         self.len = 0;
         self.from = None;
+        self.segment = 0;
     }
 
-    fn fill(&mut self, len: usize, from: SocketAddrV4) {
+    /// Records a received message of `len` bytes from `from`, cut every
+    /// `segment` bytes (0: one datagram).
+    fn fill(&mut self, len: usize, from: SocketAddrV4, segment: usize) {
         self.len = len.min(self.buf.len());
         self.from = Some(from);
+        self.segment = segment;
     }
 
     fn buf_mut(&mut self) -> &mut [u8] {
@@ -156,6 +195,30 @@ impl RecvSlot {
 impl Default for RecvSlot {
     fn default() -> Self {
         RecvSlot::new()
+    }
+}
+
+/// Iterator over the datagrams of one received message; see
+/// [`RecvSlot::datagrams`].
+#[derive(Debug, Clone)]
+pub struct Datagrams<'a> {
+    rest: Option<&'a [u8]>,
+    segment: usize,
+}
+
+impl<'a> Iterator for Datagrams<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = self.rest?;
+        if rest.len() > self.segment {
+            let (head, tail) = rest.split_at(self.segment);
+            self.rest = Some(tail);
+            Some(head)
+        } else {
+            self.rest = None;
+            Some(rest)
+        }
     }
 }
 
@@ -176,6 +239,23 @@ pub fn backend() -> &'static str {
         }
     }
     "fallback"
+}
+
+/// Asks the kernel to deliver each segmented run that reaches `sock`
+/// as one message (`UDP_GRO`), which [`recv_batch`] and
+/// [`RecvSlot::datagrams`] then split. Returns whether it will: `false`
+/// on the portable backend, off Linux, and on kernels before 5.0, where
+/// every datagram keeps arriving alone. Either way `sock` must only be
+/// read through [`recv_batch`] afterwards.
+pub fn coalesce_receives(sock: &UdpSocket) -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        if !use_fallback() {
+            return mmsg::coalesce_receives(sock);
+        }
+    }
+    let _ = sock;
+    false
 }
 
 /// Sends up to [`MAX_BATCH`] datagrams from `items`, returning how many
@@ -206,8 +286,11 @@ pub fn send_batch(sock: &UdpSocket, items: &[SendItem<'_>]) -> io::Result<usize>
     fallback::send_batch(sock, items)
 }
 
-/// Receives up to `slots.len().min(MAX_BATCH)` datagrams, filling slots
-/// from the front and returning how many were filled.
+/// Receives up to `slots.len().min(MAX_BATCH)` messages, filling slots
+/// from the front and returning how many were filled. A message is one
+/// datagram, or a coalesced run on a socket that
+/// [`coalesce_receives`]; read each slot through
+/// [`RecvSlot::datagrams`].
 ///
 /// `Ok(0)` means nothing is queued on the socket right now.
 ///
@@ -259,7 +342,7 @@ mod fallback {
             slot.reset();
             match sock.recv_from(slot.buf_mut()) {
                 Ok((len, SocketAddr::V4(from))) => {
-                    slot.fill(len, from);
+                    slot.fill(len, from, 0);
                     filled += 1;
                 }
                 // The engine is IPv4-only; skip the slot but keep going.
@@ -408,31 +491,95 @@ mod tests {
     fn warm_batch_round_allocates_nothing() {
         type Send = fn(&UdpSocket, &[SendItem<'_>]) -> io::Result<usize>;
         type Recv = fn(&UdpSocket, &mut [RecvSlot]) -> io::Result<usize>;
-        let mut backends: Vec<(&str, Send, Recv)> =
-            vec![("fallback", fallback::send_batch, fallback::recv_batch)];
+        // The mmsg receiver once as is and once coalescing, where the
+        // eight same-size datagrams arrive as one message.
+        let mut runs: Vec<(&str, Send, Recv, bool)> = vec![(
+            "fallback",
+            fallback::send_batch,
+            fallback::recv_batch,
+            false,
+        )];
         #[cfg(target_os = "linux")]
-        backends.push(("mmsg", mmsg::send_batch, mmsg::recv_batch));
-        for (name, send, recv) in backends {
+        runs.extend([
+            (
+                "mmsg",
+                mmsg::send_batch as Send,
+                mmsg::recv_batch as Recv,
+                false,
+            ),
+            ("mmsg coalescing", mmsg::send_batch, mmsg::recv_batch, true),
+        ]);
+        for (name, send, recv, coalesce) in runs {
             let (a, b, dest) = pair();
+            if coalesce {
+                assert!(mmsg::coalesce_receives(&b), "{name}");
+            }
             let payload = [7u8; 24];
             let items = [SendItem {
                 payload: &payload,
                 dest,
             }; 8];
             let mut slots: Vec<RecvSlot> = (0..8).map(|_| RecvSlot::new()).collect();
+            let messages = if coalesce { 1 } else { 8 };
             // Loopback delivery is synchronous: what `send` accepted is
             // queued on `b` when it returns. The first round is the
             // warm-up; the second is the one counted.
             for counted in [false, true] {
                 let before = ALLOCATIONS.with(std::cell::Cell::get);
                 assert_eq!(send(&a, &items).unwrap(), 8, "{name}");
-                assert_eq!(recv(&b, &mut slots).unwrap(), 8, "{name}");
+                assert_eq!(recv(&b, &mut slots).unwrap(), messages, "{name}");
+                let datagrams: usize = slots.iter().map(|s| s.datagrams().count()).sum();
                 let allocated = ALLOCATIONS.with(std::cell::Cell::get) - before;
+                assert_eq!(datagrams, 8, "{name}");
                 if counted {
                     assert_eq!(allocated, 0, "{name}: allocations in a warm round");
                 }
             }
-            assert_eq!(slots[7].bytes(), &payload[..]);
+            assert_eq!(slots[messages - 1].datagrams().last(), Some(&payload[..]));
+        }
+    }
+
+    /// A 3 000-byte datagram arrives whole, untruncated, on both
+    /// backends.
+    #[test]
+    fn large_datagram_arrives_whole_on_both_backends() {
+        type Recv = fn(&UdpSocket, &mut [RecvSlot]) -> io::Result<usize>;
+        let mut backends: Vec<(&str, Recv)> = vec![("fallback", fallback::recv_batch)];
+        #[cfg(target_os = "linux")]
+        backends.push(("mmsg", mmsg::recv_batch));
+        for (name, recv) in backends {
+            let (a, b, dest) = pair();
+            let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+            a.send_to(&payload, dest).unwrap();
+            let mut slots = [RecvSlot::new()];
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            while recv(&b, &mut slots).unwrap() == 0 && std::time::Instant::now() < deadline {}
+            assert_eq!(slots[0].bytes(), &payload[..], "{name}");
+            assert_eq!(slots[0].datagrams().count(), 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn datagrams_cut_a_message_at_its_segment_size() {
+        let from = SocketAddrV4::new(std::net::Ipv4Addr::LOCALHOST, 53);
+        let mut slot = RecvSlot::new();
+        assert_eq!(slot.datagrams().count(), 0, "an unfilled slot has none");
+        slot.buf_mut()[..10].copy_from_slice(b"aaaabbbbcc");
+        slot.fill(10, from, 4);
+        let pieces: Vec<&[u8]> = slot.datagrams().collect();
+        assert_eq!(pieces, [&b"aaaa"[..], b"bbbb", b"cc"]);
+        slot.fill(10, from, 0);
+        assert_eq!(slot.datagrams().collect::<Vec<_>>(), [&b"aaaabbbbcc"[..]]);
+        // An empty datagram is still one datagram.
+        slot.fill(0, from, 0);
+        assert_eq!(slot.datagrams().collect::<Vec<_>>(), [&b""[..]]);
+    }
+
+    #[test]
+    fn coalescing_is_off_on_the_portable_backend() {
+        let (a, _b, _dest) = pair();
+        if backend() == "fallback" {
+            assert!(!coalesce_receives(&a));
         }
     }
 

@@ -13,6 +13,11 @@
 //! wire or the receiving socket. Direct enumeration is exactly such
 //! runs — `q` identical queries for one honey name to one ingress.
 //!
+//! `recv_batch` is the mirror image: on a socket that
+//! `coalesce_receives` set `UDP_GRO` on, the kernel delivers such a run
+//! as one message and names its segment size in a control message,
+//! which the slot records so the caller can cut the run apart.
+//!
 //! All `unsafe` in the workspace is confined to this crate.
 
 use super::{RecvSlot, SendItem};
@@ -26,6 +31,7 @@ const AF_INET: u16 = 2;
 const MSG_DONTWAIT: i32 = 0x40;
 const SOL_UDP: i32 = 17;
 const UDP_SEGMENT: i32 = 103;
+const UDP_GRO: i32 = 104;
 const EIO: i32 = 5;
 const EINVAL: i32 = 22;
 
@@ -131,6 +137,40 @@ impl SegmentCmsg {
     }
 }
 
+/// A `struct cmsghdr` carrying one `int`: the `SOL_UDP`/`UDP_GRO`
+/// control message a coalescing socket gets beside each coalesced run,
+/// padded to `CMSG_SPACE(4)`.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct GroCmsg {
+    /// `CMSG_LEN(4)` when the kernel wrote one.
+    len: usize,
+    level: i32,
+    kind: i32,
+    /// Bytes per datagram of the run; the last may be shorter.
+    gso_size: i32,
+    pad: [u8; 4],
+}
+
+impl GroCmsg {
+    const EMPTY: GroCmsg = GroCmsg {
+        len: 0,
+        level: 0,
+        kind: 0,
+        gso_size: 0,
+        pad: [0; 4],
+    };
+
+    /// The segment size this control message reports, if the kernel
+    /// wrote at least `CMSG_LEN(4)` bytes of it (`written`, the header's
+    /// `controllen` after the call) and it is a `UDP_GRO` message.
+    fn segment(&self, written: usize) -> Option<usize> {
+        let complete = written >= 16 + 4;
+        (complete && self.level == SOL_UDP && self.kind == UDP_GRO && self.gso_size > 0)
+            .then_some(self.gso_size as usize)
+    }
+}
+
 /// `struct mmsghdr`.
 #[repr(C)]
 struct MMsgHdr {
@@ -160,6 +200,7 @@ extern "C" {
     fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
     fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
     fn getsockopt(fd: i32, level: i32, name: i32, value: *mut u8, len: *mut u32) -> i32;
+    fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
 }
 
 fn soft_error(e: &io::Error) -> bool {
@@ -222,6 +263,24 @@ fn supports_udp_segment(sock: &UdpSocket) -> bool {
             UDP_SEGMENT,
             (&mut value as *mut i32).cast(),
             &mut len,
+        )
+    };
+    rc == 0
+}
+
+/// Turns `UDP_GRO` on for `sock`: a segmented run then arrives as one
+/// message. Kernels before 5.0 refuse with `ENOPROTOOPT`.
+pub fn coalesce_receives(sock: &UdpSocket) -> bool {
+    let on: i32 = 1;
+    // SAFETY: `on` is a live local of the 4 bytes passed as its length;
+    // the fd is a valid socket.
+    let rc = unsafe {
+        setsockopt(
+            sock.as_raw_fd(),
+            SOL_UDP,
+            UDP_GRO,
+            (&on as *const i32).cast(),
+            std::mem::size_of::<i32>() as u32,
         )
     };
     rc == 0
@@ -310,6 +369,9 @@ pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize>
         base: std::ptr::null_mut(),
         len: 0,
     });
+    // Room for one control message per slot. Only a coalescing socket
+    // gets one, and only beside a coalesced run.
+    let mut cmsgs = [GroCmsg::EMPTY; super::MAX_BATCH];
     let mut hdrs = [MMsgHdr::EMPTY; super::MAX_BATCH];
     for (i, slot) in slots.iter_mut().enumerate() {
         slot.reset();
@@ -324,17 +386,18 @@ pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize>
                 namelen: std::mem::size_of::<SockAddrIn>() as u32,
                 iov: &mut iovecs[i],
                 iovlen: 1,
-                control: std::ptr::null_mut(),
-                controllen: 0,
+                control: (&mut cmsgs[i] as *mut GroCmsg).cast(),
+                controllen: std::mem::size_of::<GroCmsg>(),
                 flags: 0,
             },
             len: 0,
         };
     }
     // SAFETY: as in send_messages — the first `slots.len()` headers point
-    // at live buffers that outlive the call and vlen stops the kernel
-    // there; a null timeout means "no timeout" (we pass MSG_DONTWAIT so
-    // the call never blocks).
+    // at live buffers (the slots' mappings and the stack arrays, each
+    // `controllen` or `iov_len` bytes long) that outlive the call, and
+    // vlen stops the kernel there; a null timeout means "no timeout" (we
+    // pass MSG_DONTWAIT so the call never blocks).
     let rc = unsafe {
         recvmmsg(
             sock.as_raw_fd(),
@@ -354,7 +417,8 @@ pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize>
     let filled = rc as usize;
     for (i, hdr) in hdrs.iter().take(filled).enumerate() {
         if let Some(from) = addrs[i].to_v4() {
-            slots[i].fill(hdr.len as usize, from);
+            let segment = cmsgs[i].segment(hdr.hdr.controllen).unwrap_or(0);
+            slots[i].fill(hdr.len as usize, from, segment);
         }
     }
     Ok(filled)
@@ -376,6 +440,10 @@ mod tests {
         // CMSG_SPACE(sizeof(uint16_t)) on LP64.
         assert_eq!(std::mem::size_of::<SegmentCmsg>(), 24);
         assert_eq!(std::mem::align_of::<SegmentCmsg>(), 8);
+        // CMSG_SPACE(sizeof(int)) on LP64, data at CMSG_DATA (16).
+        assert_eq!(std::mem::size_of::<GroCmsg>(), 24);
+        assert_eq!(std::mem::align_of::<GroCmsg>(), 8);
+        assert_eq!(std::mem::offset_of!(GroCmsg, gso_size), 16);
     }
 
     #[test]
@@ -395,18 +463,35 @@ mod tests {
         (sock, addr)
     }
 
-    /// Receives until `want` datagrams have arrived or two seconds pass.
-    fn drain(sock: &UdpSocket, want: usize) -> Vec<Vec<u8>> {
+    /// A bound socket that asks for coalesced receives.
+    fn coalescing() -> (UdpSocket, SocketAddrV4) {
+        let (sock, addr) = bound();
+        assert!(coalesce_receives(&sock), "UDP_GRO needs Linux 5.0 or later");
+        (sock, addr)
+    }
+
+    /// Receives until `want` datagrams have arrived or two seconds pass;
+    /// returns them, and the number of messages they came in.
+    fn drain_messages(sock: &UdpSocket, want: usize) -> (Vec<Vec<u8>>, usize) {
         let mut slots: Vec<RecvSlot> = (0..super::super::MAX_BATCH)
             .map(|_| RecvSlot::new())
             .collect();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        let mut got = Vec::new();
+        let (mut got, mut messages) = (Vec::new(), 0);
         while got.len() < want && std::time::Instant::now() < deadline {
             let n = recv_batch(sock, &mut slots).unwrap();
-            got.extend(slots[..n].iter().map(|s| s.bytes().to_vec()));
+            messages += n;
+            got.extend(
+                slots[..n]
+                    .iter()
+                    .flat_map(|s| s.datagrams().map(<[u8]>::to_vec)),
+            );
         }
-        got
+        (got, messages)
+    }
+
+    fn drain(sock: &UdpSocket, want: usize) -> Vec<Vec<u8>> {
+        drain_messages(sock, want).0
     }
 
     /// Runs split by destination, by payload length and around payloads
@@ -414,9 +499,21 @@ mod tests {
     /// call: every datagram arrives alone, byte-exact, in send order.
     #[test]
     fn mixed_batch_segments_runs_and_keeps_boundaries() {
+        mixed_batch(bound);
+    }
+
+    /// The same batch to receivers that coalesce: runs arrive as one
+    /// message each, and cutting them at the reported segment size gives
+    /// back the same datagrams in the same order.
+    #[test]
+    fn mixed_batch_to_coalescing_receivers_keeps_boundaries() {
+        mixed_batch(coalescing);
+    }
+
+    fn mixed_batch(receiver: fn() -> (UdpSocket, SocketAddrV4)) {
         let (tx, _) = bound();
-        let (rx_a, a) = bound();
-        let (rx_b, b) = bound();
+        let (rx_a, a) = receiver();
+        let (rx_b, b) = receiver();
         // (destination, payload length) per item, in send order.
         let plan: Vec<(SocketAddrV4, usize)> = [
             (a, 20, 4),  // run
@@ -451,6 +548,25 @@ mod tests {
                 .collect();
             assert_eq!(drain(rx, want.len()), want);
         }
+    }
+
+    /// A 20-datagram run to a coalescing socket fills one slot whose
+    /// datagrams are the payloads, byte for byte.
+    #[test]
+    fn segmented_run_arrives_as_one_coalesced_message() {
+        let (tx, _) = bound();
+        let (rx, dest) = coalescing();
+        let payloads: Vec<Vec<u8>> = (0..20u8)
+            .map(|i| (0..45).map(|j| i ^ j).collect())
+            .collect();
+        let items: Vec<SendItem<'_>> = payloads
+            .iter()
+            .map(|p| SendItem { payload: p, dest })
+            .collect();
+        assert_eq!(send_batch(&tx, &items).unwrap(), 20);
+        let (got, messages) = drain_messages(&rx, 20);
+        assert_eq!(got, payloads);
+        assert_eq!(messages, 1, "the run was not coalesced");
     }
 
     #[test]

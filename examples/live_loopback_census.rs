@@ -228,7 +228,6 @@ fn main() {
         ResolverConfig {
             query_loss: 0.20,
             seed: 11,
-            ..ResolverConfig::default()
         },
         None,
         "lossy wire (20% of requests dropped, absorbed by retries):",
