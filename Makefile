@@ -1,7 +1,7 @@
 # Convenience targets; everything builds offline from vendored deps
 # (third_party/, see README "Offline builds").
 
-.PHONY: build test test-fallback chaos bench-smoke benchmark-smoke analyze-smoke serve-smoke forensics-smoke lint
+.PHONY: build test test-fallback experiments-check chaos bench-smoke benchmark-smoke analyze-smoke serve-smoke forensics-smoke lint
 
 build:
 	cargo build --release --locked
@@ -19,6 +19,17 @@ test-fallback:
 	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-sysio
 	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-engine --lib \
 		--test reactor_correlation --test reactor_shard --test reactor_wait
+
+# Every simulator table at the default seed and scale, diffed byte for
+# byte against the committed stdout of `experiments all`. A change that
+# must not move a table (a performance or refactoring change) leaves it
+# identical; a change that means to move one regenerates
+# tests/golden/experiments_all.txt and says why. ROADMAP item 1's
+# `experiments --json --check` (per-figure values, paper checkpoints)
+# replaces this byte diff when it lands.
+experiments-check:
+	cargo run --release --locked -q -p cde-bench --bin experiments -- all 2>/dev/null \
+		| diff -u tests/golden/experiments_all.txt -
 
 # Run every criterion bench exactly once — a fast correctness pass over
 # the bench harnesses (the zero-alloc wire bench asserts its property).

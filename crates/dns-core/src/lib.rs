@@ -4,7 +4,11 @@
 //! This crate implements the parts of the DNS the paper's measurement
 //! techniques rely on, from scratch:
 //!
-//! * [`Name`] — case-normalised domain names with subdomain algebra,
+//! * [`Name`] — case-normalised domain names with subdomain algebra, each
+//!   one heap buffer holding its labels in uncompressed wire form (length
+//!   octet, lowercased bytes, leftmost label first, no root octet). `Eq`
+//!   and `Hash` read that buffer; `Ord` compares label by label, never
+//!   byte-wise (see [`name`]),
 //! * [`Record`]/[`RData`] — typed resource records (A, AAAA, NS, CNAME, MX,
 //!   TXT, SPF, SOA, PTR, SRV, OPT and opaque),
 //! * [`Message`] — full RFC 1035 wire encode/decode with name compression,

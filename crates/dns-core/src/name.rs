@@ -1,11 +1,27 @@
 //! Domain names.
 //!
-//! [`Name`] stores a fully-qualified domain name as a sequence of labels,
-//! normalised to lowercase (DNS name comparison is case-insensitive,
-//! RFC 1034 §3.1). The root name has zero labels.
+//! [`Name`] stores a fully-qualified domain name normalised to lowercase
+//! (DNS name comparison is case-insensitive, RFC 1034 §3.1). The root name
+//! has zero labels.
+//!
+//! # Representation
+//!
+//! A name is one heap buffer: its uncompressed wire form without the
+//! terminating root octet. Each label is a length octet followed by its
+//! lowercased bytes, leftmost (most specific) label first, so
+//! `www.example.` is `\x03www\x07example`. The root is the empty buffer
+//! and allocates nothing. Building, cloning, decoding or dropping a name
+//! therefore costs one allocation, however many labels it has.
+//!
+//! Equality and hashing work on the buffer: length-prefixed labels are
+//! prefix-free, so equal buffers mean equal label sequences. Ordering does
+//! **not**: [`Ord`] compares label by label, leftmost first, each label as
+//! a byte string (`a` < `aa` < `b`, and `a.b` > `a`). Byte-wise order on the
+//! buffer would put `b` (`\x01b`) before `aa` (`\x02aa`); every sorted table
+//! keyed on names reads the label-wise order.
 
 use crate::error::NameError;
-use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
@@ -30,10 +46,11 @@ pub const MAX_NAME_LEN: usize = 255;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Name {
-    /// Labels from leftmost (most specific) to rightmost (closest to root).
-    labels: Vec<Box<[u8]>>,
+    /// Uncompressed wire form without the root octet: length-prefixed,
+    /// lowercased labels, leftmost first. Empty for the root.
+    wire: Box<[u8]>,
 }
 
 impl Name {
@@ -47,7 +64,9 @@ impl Name {
     /// assert_eq!(Name::root().to_string(), ".");
     /// ```
     pub fn root() -> Name {
-        Name { labels: Vec::new() }
+        Name {
+            wire: Box::default(),
+        }
     }
 
     /// Parses a name from its textual (dot-separated) representation.
@@ -65,13 +84,7 @@ impl Name {
         if trimmed.is_empty() {
             return Ok(Name::root());
         }
-        let mut labels = Vec::new();
-        for raw in trimmed.split('.') {
-            labels.push(Label::validate(raw.as_bytes())?);
-        }
-        let name = Name { labels };
-        name.check_total_len()?;
-        Ok(name)
+        Name::from_labels(trimmed.split('.'))
     }
 
     /// Builds a name from label byte strings, most-specific first.
@@ -84,46 +97,42 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
+        let mut builder = Builder::new();
         for l in labels {
-            out.push(Label::validate(l.as_ref())?);
+            builder.push(l.as_ref())?;
         }
-        let name = Name { labels: out };
-        name.check_total_len()?;
-        Ok(name)
+        builder.finish()
     }
 
-    fn check_total_len(&self) -> Result<(), NameError> {
-        if self.wire_len() > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong);
-        }
-        Ok(())
+    /// The name's labels in wire form, without the terminating root octet.
+    pub(crate) fn wire(&self) -> &[u8] {
+        &self.wire
     }
 
     /// Length of this name in uncompressed wire form (length octets plus the
     /// terminating zero octet).
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.wire.len() + 1
     }
 
     /// Number of labels; the root has zero.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// `true` when this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Iterates over the labels, most-specific (leftmost) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        self.labels.iter().map(|l| l.borrow())
+        Labels { rest: &self.wire }
     }
 
     /// The leftmost label, or `None` for the root.
     pub fn first_label(&self) -> Option<&[u8]> {
-        self.labels.first().map(|l| l.borrow())
+        self.labels().next()
     }
 
     /// Returns the parent name (this name with its leftmost label removed),
@@ -140,13 +149,10 @@ impl Name {
     /// # }
     /// ```
     pub fn parent(&self) -> Option<Name> {
-        if self.is_root() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let first = *self.wire.first()? as usize;
+        Some(Name {
+            wire: self.wire[1 + first..].into(),
+        })
     }
 
     /// `true` when `self` equals `other` or sits below it in the tree.
@@ -154,16 +160,28 @@ impl Name {
     /// Every name is a subdomain of the root; a name is a subdomain of
     /// itself.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
-        }
-        let skip = self.labels.len() - other.labels.len();
-        self.labels[skip..] == other.labels[..]
+        self.suffix_start(other).is_some()
     }
 
     /// `true` when `self` is strictly below `other`.
     pub fn is_strict_subdomain_of(&self, other: &Name) -> bool {
-        self.labels.len() > other.labels.len() && self.is_subdomain_of(other)
+        self.wire.len() > other.wire.len() && self.is_subdomain_of(other)
+    }
+
+    /// The byte offset in `self.wire` at which `suffix`'s labels start,
+    /// when `self` is a subdomain of `suffix`. The offset must fall on a
+    /// label boundary: label bytes such as `-` or digits are valid length
+    /// octets, so a byte-wise suffix alone proves nothing.
+    fn suffix_start(&self, suffix: &Name) -> Option<usize> {
+        let start = self.wire.len().checked_sub(suffix.wire.len())?;
+        if self.wire[start..] != suffix.wire[..] {
+            return None;
+        }
+        let mut at = 0;
+        while at < start {
+            at += 1 + self.wire[at] as usize;
+        }
+        (at == start).then_some(start)
     }
 
     /// Prepends `label` to this name, producing a child name.
@@ -185,12 +203,10 @@ impl Name {
     /// # }
     /// ```
     pub fn prepend_label(&self, label: impl AsRef<[u8]>) -> Result<Name, NameError> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(Label::validate(label.as_ref())?);
-        labels.extend(self.labels.iter().cloned());
-        let name = Name { labels };
-        name.check_total_len()?;
-        Ok(name)
+        let mut builder = Builder::new();
+        builder.push(label.as_ref())?;
+        builder.extend_wire(&self.wire);
+        builder.finish()
     }
 
     /// Concatenates `self` (as the more-specific part) onto `suffix`.
@@ -200,24 +216,19 @@ impl Name {
     /// Returns [`NameError::NameTooLong`] when the result exceeds the wire
     /// limit.
     pub fn concat(&self, suffix: &Name) -> Result<Name, NameError> {
-        let mut labels = Vec::with_capacity(self.labels.len() + suffix.labels.len());
-        labels.extend(self.labels.iter().cloned());
-        labels.extend(suffix.labels.iter().cloned());
-        let name = Name { labels };
-        name.check_total_len()?;
-        Ok(name)
+        let mut builder = Builder::new();
+        builder.extend_wire(&self.wire);
+        builder.extend_wire(&suffix.wire);
+        builder.finish()
     }
 
     /// Strips `suffix` from the end of this name, returning the relative
     /// prefix as a new name, or `None` when `self` is not a subdomain of
     /// `suffix`.
     pub fn strip_suffix(&self, suffix: &Name) -> Option<Name> {
-        if !self.is_subdomain_of(suffix) {
-            return None;
-        }
-        let keep = self.labels.len() - suffix.labels.len();
+        let start = self.suffix_start(suffix)?;
         Some(Name {
-            labels: self.labels[..keep].to_vec(),
+            wire: self.wire[..start].into(),
         })
     }
 
@@ -242,6 +253,35 @@ impl Name {
     }
 }
 
+/// Label-wise order, leftmost label first (see the [module docs](self)).
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> Ordering {
+        self.labels().cmp(other.labels())
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Iterator over the labels of a name's wire buffer.
+struct Labels<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, tail) = self.rest.split_first()?;
+        let (label, rest) = tail.split_at(len as usize);
+        self.rest = rest;
+        Some(label)
+    }
+}
+
 /// Iterator over a name and its ancestors up to the root.
 ///
 /// Produced by [`Name::ancestors`].
@@ -260,27 +300,78 @@ impl Iterator for Ancestors {
     }
 }
 
-/// Label validation helper namespace.
-struct Label;
+/// Validates and lowercases labels into a stack buffer, so a finished
+/// name costs exactly one heap allocation.
+struct Builder {
+    /// Room for the longest legal name's labels (the root octet is
+    /// implicit).
+    buf: [u8; MAX_NAME_LEN - 1],
+    /// Wire bytes pushed so far; may run past `buf`, in which case the
+    /// overflowing labels are validated but not stored and
+    /// [`finish`](Self::finish) reports [`NameError::NameTooLong`].
+    len: usize,
+}
 
-impl Label {
-    /// Validates and lowercases one label.
-    fn validate(raw: &[u8]) -> Result<Box<[u8]>, NameError> {
+impl Builder {
+    fn new() -> Builder {
+        Builder {
+            buf: [0; MAX_NAME_LEN - 1],
+            len: 0,
+        }
+    }
+
+    /// Validates and appends one label. Label errors take precedence over
+    /// the total-length check, which waits for [`finish`](Self::finish).
+    fn push(&mut self, raw: &[u8]) -> Result<(), NameError> {
         if raw.is_empty() {
             return Err(NameError::EmptyLabel);
         }
         if raw.len() > MAX_LABEL_LEN {
             return Err(NameError::LabelTooLong);
         }
-        let mut out = Vec::with_capacity(raw.len());
-        for &b in raw {
-            let ok = b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'*';
-            if !ok {
-                return Err(NameError::InvalidCharacter(b));
+        let end = self.len + 1 + raw.len();
+        match self.buf.get_mut(self.len..end) {
+            Some(dst) => {
+                dst[0] = raw.len() as u8;
+                for (d, &b) in dst[1..].iter_mut().zip(raw) {
+                    *d = lowercase_label_byte(b)?;
+                }
             }
-            out.push(b.to_ascii_lowercase());
+            None => {
+                for &b in raw {
+                    lowercase_label_byte(b)?;
+                }
+            }
         }
-        Ok(out.into_boxed_slice())
+        self.len = end;
+        Ok(())
+    }
+
+    /// Appends labels already in wire form (taken from a valid [`Name`]).
+    fn extend_wire(&mut self, wire: &[u8]) {
+        let end = self.len + wire.len();
+        if let Some(dst) = self.buf.get_mut(self.len..end) {
+            dst.copy_from_slice(wire);
+        }
+        self.len = end;
+    }
+
+    fn finish(self) -> Result<Name, NameError> {
+        if self.len > self.buf.len() {
+            return Err(NameError::NameTooLong);
+        }
+        Ok(Name {
+            wire: self.buf[..self.len].into(),
+        })
+    }
+}
+
+/// Checks one label byte against `[A-Za-z0-9_*-]` and lowercases it.
+fn lowercase_label_byte(b: u8) -> Result<u8, NameError> {
+    if b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'*' {
+        Ok(b.to_ascii_lowercase())
+    } else {
+        Err(NameError::InvalidCharacter(b))
     }
 }
 
@@ -297,7 +388,7 @@ impl fmt::Display for Name {
         if self.is_root() {
             return write!(f, ".");
         }
-        for l in &self.labels {
+        for l in self.labels() {
             // Labels are validated ASCII, so lossless.
             f.write_str(std::str::from_utf8(l).expect("labels are ascii"))?;
             f.write_str(".")?;
@@ -375,6 +466,28 @@ mod tests {
     }
 
     #[test]
+    fn label_errors_win_over_the_length_check() {
+        // Five 63-octet labels overflow the 255-octet limit long before the
+        // bad byte in the last one is reached.
+        let mut parts = vec!["a".repeat(63); 5];
+        parts[4].replace_range(60..61, "!");
+        let text = parts.join(".");
+        assert_eq!(
+            text.parse::<Name>().unwrap_err(),
+            NameError::InvalidCharacter(b'!')
+        );
+        assert_eq!(
+            Name::from_labels(&parts).unwrap_err(),
+            NameError::InvalidCharacter(b'!')
+        );
+        parts[4] = String::new();
+        assert_eq!(
+            Name::from_labels(&parts).unwrap_err(),
+            NameError::EmptyLabel
+        );
+    }
+
+    #[test]
     fn rejects_invalid_character() {
         assert_eq!(
             "ex ample".parse::<Name>().unwrap_err(),
@@ -447,6 +560,34 @@ mod tests {
         let mut v = [n("b.example"), n("a.example"), n("a.a.example")];
         v.sort();
         assert_eq!(v[0], n("a.a.example"));
+    }
+
+    #[test]
+    fn ordering_is_label_wise_not_byte_wise() {
+        // Each pair disagrees between label order and buffer order.
+        assert!(n("aa") < n("b"));
+        assert!(n("ab") < n("abc"));
+        assert!(n("a") < n("a.b"));
+        assert!(Name::root() < n("a"));
+    }
+
+    #[test]
+    fn root_is_the_empty_buffer() {
+        assert_eq!(Name::root().wire().len(), 0);
+        assert_eq!(n("a").parent().unwrap(), Name::root());
+        assert_eq!(n("a").strip_suffix(&n("a")).unwrap(), Name::root());
+    }
+
+    #[test]
+    fn subdomain_needs_a_label_boundary() {
+        // `-` (45) is also a valid length octet: the 49-octet label
+        // "xxx" + 46 dashes ends in the bytes of a 45-dash label's wire
+        // form, a byte-wise suffix that starts mid-label.
+        let inner = format!("{}.b", "-".repeat(45));
+        let outer = format!("{}-{}.b", "x".repeat(3), "-".repeat(45));
+        assert!(!n(&outer).is_subdomain_of(&n(&inner)));
+        assert!(n(&outer).strip_suffix(&n(&inner)).is_none());
+        assert!(n(&format!("q.{inner}")).is_subdomain_of(&n(&inner)));
     }
 
     #[test]

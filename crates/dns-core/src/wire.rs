@@ -191,10 +191,8 @@ impl WireWriter {
     /// Required inside RDATA of types whose compression is forbidden by
     /// RFC 3597 (everything but the classic types).
     pub fn put_name_uncompressed(&mut self, name: &Name) {
-        for label in name.labels() {
-            self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label);
-        }
+        // A name already holds its labels in uncompressed wire form.
+        self.buf.put_slice(name.wire());
         self.buf.put_u8(0);
     }
 
@@ -322,8 +320,8 @@ impl<'a> WireReader<'a> {
     /// Reads a (possibly compressed) domain name.
     ///
     /// The temporary label buffer lives on the stack as `(offset, len)`
-    /// spans into the message — no per-label heap churn; only the final
-    /// [`Name`] owns memory.
+    /// spans into the message, and [`Name::from_labels`] lowercases them
+    /// into a stack buffer: the finished [`Name`] is the one allocation.
     ///
     /// # Errors
     ///

@@ -354,7 +354,7 @@ fn handle_datagram(
     if query.is_response() {
         return None;
     }
-    let question = query.question().cloned()?;
+    let question = query.question()?;
     // Injected request-direction loss: the query never "reaches" us.
     if cfg.query_loss > 0.0 && rng.gen_bool(cfg.query_loss) {
         return None;

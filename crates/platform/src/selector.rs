@@ -110,9 +110,7 @@ impl LoadBalancer {
                 i
             }
             SelectorKind::Random => rng.gen_range(0..self.cache_count),
-            SelectorKind::QnameHash => {
-                (fnv(qname.to_string().as_bytes()) as usize) % self.cache_count
-            }
+            SelectorKind::QnameHash => (fnv_presentation(qname) as usize) % self.cache_count,
             SelectorKind::SourceHash => (fnv(&src.octets()) as usize) % self.cache_count,
             SelectorKind::LeastLoaded => self
                 .loads
@@ -127,13 +125,29 @@ impl LoadBalancer {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
 fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    fnv_extend(FNV_OFFSET, bytes)
+}
+
+fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// FNV-1a over the name's presentation form (`"www.example."`, `"."` for
+/// the root), fed label by label instead of formatting a `String`.
+fn fnv_presentation(qname: &Name) -> u64 {
+    if qname.is_root() {
+        return fnv(b".");
+    }
+    qname.labels().fold(FNV_OFFSET, |h, label| {
+        fnv_extend(fnv_extend(h, label), b".")
+    })
 }
 
 #[cfg(test)]
@@ -196,6 +210,26 @@ mod tests {
             seen.insert(lb.select(&n(&format!("x-{i}.example")), src(), &mut rng));
         }
         assert!(seen.len() >= 4);
+    }
+
+    #[test]
+    fn qname_hash_indices_are_pinned() {
+        // The hash reads the presentation form ("www.example."), so these
+        // indices must not move when the name's representation does.
+        let long = format!("{}.example", "a".repeat(63));
+        let cases: [(&str, usize); 5] = [
+            (".", 9),
+            (long.as_str(), 213),
+            ("WWW.Cache.Example", 555),
+            ("x-1.cache.example", 76),
+            ("_srv.*.b", 627),
+        ];
+        let mut rng = DetRng::seed(5);
+        for (text, want) in cases {
+            let mut lb = LoadBalancer::new(SelectorKind::QnameHash, 1009);
+            let got = lb.select(&n(text), src(), &mut rng);
+            assert_eq!(got, want, "{text}");
+        }
     }
 
     #[test]
