@@ -1,7 +1,7 @@
 # Convenience targets; everything builds offline from vendored deps
 # (third_party/, see README "Offline builds").
 
-.PHONY: build test test-fallback experiments-check chaos bench-smoke benchmark-smoke analyze-smoke serve-smoke forensics-smoke lint
+.PHONY: build test test-fallback experiments-check chaos bench-smoke benchmark-smoke analyze-smoke serve-smoke forensics-smoke lint doc-check
 
 build:
 	cargo build --release --locked
@@ -95,3 +95,13 @@ forensics-smoke:
 lint:
 	cargo clippy --workspace --all-targets --locked -- -D warnings
 	cargo fmt --all -- --check
+
+# Rustdoc with every warning an error (broken or private intra-doc
+# links, redundant link targets) over the first-party crates. The
+# vendored third_party/ crates are excluded: their docs are not ours to
+# fix.
+doc-check:
+	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked \
+		--exclude bytes --exclude criterion --exclude crossbeam \
+		--exclude parking_lot --exclude proptest --exclude rand \
+		--exclude serde --exclude serde_derive

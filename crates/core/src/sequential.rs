@@ -27,8 +27,8 @@ use cde_netsim::SimTime;
 
 /// Sequential stopping rule over distinct-cache evidence.
 ///
-/// Feed it one call per logical probe — [`record_delivered`]
-/// (`SequentialPlanner::record_delivered`) when any copy of the probe
+/// Feed it one call per logical probe —
+/// [`record_delivered`](SequentialPlanner::record_delivered) when any copy of the probe
 /// produced a response, [`record_lost`](SequentialPlanner::record_lost)
 /// otherwise — with the number of *new* nameserver fetches the probe
 /// caused. [`should_stop`](SequentialPlanner::should_stop) turns true as

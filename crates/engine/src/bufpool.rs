@@ -6,9 +6,23 @@
 //! back on the allocator; the pool recycles buffers so a steady-state
 //! campaign reuses the same handful of allocations forever.
 
-use cde_telemetry::{Collector, Metric};
-use std::sync::atomic::{AtomicU64, Ordering};
+use cde_telemetry::{counter_block, Collector, Metric};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+counter_block! {
+    #[derive(Debug, Default)]
+    struct PoolCounters;
+    struct PoolCounts;
+
+    minted: AtomicU64, sum, counter "cde_bufpool_minted_total"
+        "Buffers allocated because the free list was empty" => record_minted;
+    recycled: AtomicU64, sum, counter "cde_bufpool_recycled_total"
+        "Buffer takes served from the free list" => record_recycled;
+    discarded: AtomicU64, sum, counter "cde_bufpool_discarded_total"
+        "Returned buffers dropped by the retention cap" => record_discarded;
+    idle: AtomicU64, sum, gauge "cde_bufpool_idle" "Buffers currently in the free list";
+}
 
 /// Thread-safe view of a pool's recycling behaviour, shareable with a
 /// [`MetricsRegistry`](cde_telemetry::MetricsRegistry) while the pool
@@ -18,10 +32,7 @@ use std::sync::Arc;
 /// `minted` count after warm-up means buffers are leaking past the pool.
 #[derive(Debug, Default)]
 pub struct PoolStats {
-    minted: AtomicU64,
-    recycled: AtomicU64,
-    discarded: AtomicU64,
-    idle: AtomicU64,
+    counters: PoolCounters,
     /// When set, every exported series carries a `shard` label so the
     /// per-shard pools of a sharded reactor stay distinguishable.
     shard: Option<u64>,
@@ -30,22 +41,22 @@ pub struct PoolStats {
 impl PoolStats {
     /// Buffers allocated fresh because the free list was empty.
     pub fn minted(&self) -> u64 {
-        self.minted.load(Ordering::Relaxed)
+        self.counters.minted.load(Ordering::Relaxed)
     }
 
     /// Takes served from the free list.
     pub fn recycled(&self) -> u64 {
-        self.recycled.load(Ordering::Relaxed)
+        self.counters.recycled.load(Ordering::Relaxed)
     }
 
     /// Returned buffers dropped because the free list was full.
     pub fn discarded(&self) -> u64 {
-        self.discarded.load(Ordering::Relaxed)
+        self.counters.discarded.load(Ordering::Relaxed)
     }
 
     /// Buffers sitting in the free list right now.
     pub fn idle(&self) -> u64 {
-        self.idle.load(Ordering::Relaxed)
+        self.counters.idle.load(Ordering::Relaxed)
     }
 }
 
@@ -55,26 +66,7 @@ impl Collector for PoolStats {
             Some(s) => m.with_label("shard", s.to_string()),
             None => m,
         };
-        out.push(label(Metric::counter(
-            "cde_bufpool_minted_total",
-            "Buffers allocated because the free list was empty",
-            self.minted(),
-        )));
-        out.push(label(Metric::counter(
-            "cde_bufpool_recycled_total",
-            "Buffer takes served from the free list",
-            self.recycled(),
-        )));
-        out.push(label(Metric::counter(
-            "cde_bufpool_discarded_total",
-            "Returned buffers dropped by the retention cap",
-            self.discarded(),
-        )));
-        out.push(label(Metric::gauge(
-            "cde_bufpool_idle",
-            "Buffers currently in the free list",
-            self.idle() as f64,
-        )));
+        self.counters.load().collect_into(label, out);
     }
 }
 
@@ -107,14 +99,13 @@ impl BufferPool {
     /// Like [`BufferPool::new`], but the stats handle tags its exported
     /// series with `shard` so several pools can share one registry.
     pub fn new_labeled(buf_capacity: usize, max_free: usize, shard: u64) -> BufferPool {
+        let stats = Arc::new(PoolStats {
+            shard: Some(shard),
+            ..PoolStats::default()
+        });
         BufferPool {
-            free: Vec::with_capacity(max_free.min(1024)),
-            buf_capacity,
-            max_free,
-            stats: Arc::new(PoolStats {
-                shard: Some(shard),
-                ..PoolStats::default()
-            }),
+            stats,
+            ..BufferPool::new(buf_capacity, max_free)
         }
     }
 
@@ -123,14 +114,15 @@ impl BufferPool {
         match self.free.pop() {
             Some(mut buf) => {
                 buf.clear();
-                self.stats.recycled.fetch_add(1, Ordering::Relaxed);
+                self.stats.counters.record_recycled();
                 self.stats
+                    .counters
                     .idle
                     .store(self.free.len() as u64, Ordering::Relaxed);
                 buf
             }
             None => {
-                self.stats.minted.fetch_add(1, Ordering::Relaxed);
+                self.stats.counters.record_minted();
                 Vec::with_capacity(self.buf_capacity)
             }
         }
@@ -141,10 +133,11 @@ impl BufferPool {
         if self.free.len() < self.max_free {
             self.free.push(buf);
             self.stats
+                .counters
                 .idle
                 .store(self.free.len() as u64, Ordering::Relaxed);
         } else {
-            self.stats.discarded.fetch_add(1, Ordering::Relaxed);
+            self.stats.counters.record_discarded();
         }
     }
 

@@ -5,21 +5,21 @@
 //! missing layer for the paper's actual modus operandi — an
 //! Internet-facing measurement system — while staying hermetic:
 //!
-//! * [`transport`] — the [`Transport`](transport::Transport) abstraction
-//!   plus [`EngineAccess`](transport::EngineAccess), which adapts any
+//! * [`transport`] — the [`Transport`] abstraction
+//!   plus [`EngineAccess`], which adapts any
 //!   transport to `cde-core`'s `AccessChannel` so every enumeration /
 //!   mapping / survey algorithm runs unchanged over the wire.
-//! * [`sim`] — [`SimTransport`](sim::SimTransport): the same interface
+//! * [`sim`] — [`SimTransport`]: the same interface
 //!   over an in-process `cde-platform::ResolutionPlatform`.
-//! * [`authority`] — [`WireAuthority`](authority::WireAuthority): a
+//! * [`authority`] — [`WireAuthority`]: a
 //!   loopback UDP authoritative nameserver farm serving the `CdeInfra`
 //!   zones (honey records, CNAME farm, delegated subzone) with
 //!   `cde-dns` wire encoding, recording observed sources.
-//! * [`resolver`] — [`LoopbackResolver`](resolver::LoopbackResolver): a
+//! * [`resolver`] — [`LoopbackResolver`]: a
 //!   loopback recursive-resolver shim backed by a simulated cache
 //!   platform, with injectable loss, for hermetic end-to-end tests.
 //! * [`reactor`] — the sharded event-driven probe
-//!   [`Reactor`](reactor::Reactor): one event loop per core, each
+//!   [`Reactor`]: one event loop per core, each
 //!   multiplexing thousands of in-flight probes over its own
 //!   non-blocking sockets, with a correlation table (query-id / source /
 //!   question validation against spoofed and stray replies), a
@@ -27,36 +27,36 @@
 //!   `sendmmsg`/`recvmmsg` syscalls via `cde-sysio`, and pooled
 //!   zero-alloc encodings. Probes are partitioned across shards by a
 //!   stable hash of the target ingress
-//!   ([`shard_for_target`](reactor::shard_for_target)), submitted over
+//!   ([`shard_for_target`]), submitted over
 //!   per-shard lock-free rings, and the per-shard metrics blocks merge
-//!   on snapshot; [`ReactorTransport`](reactor::ReactorTransport)
-//!   is its one-probe-at-a-time [`Transport`](transport::Transport) seam
+//!   on snapshot; [`ReactorTransport`]
+//!   is its one-probe-at-a-time [`Transport`] seam
 //!   and the engine's only live transport.
-//!   With [`ReactorConfig::insight`](reactor::ReactorConfig::insight)
+//!   With [`ReactorConfig::insight`]
 //!   set, the loops additionally feed per-target `cde-insight` RTT
 //!   digests at reply-match time and sample wall-clock timers around
 //!   the six hot-path phases (timers, encode, send-batch, recv-batch,
 //!   decode, correlate) — the capture tier of the §IV-B3 latency side
 //!   channel.
-//! * [`rto`] — [`RtoTable`](rto::RtoTable): per-ingress adaptive
+//! * [`rto`] — [`RtoTable`]: per-ingress adaptive
 //!   retransmission timeouts (the RFC 6298 estimator from `cde-insight`
 //!   in atomic cells). With
-//!   [`ReactorConfig::adaptive`](reactor::ReactorConfig::adaptive) set,
+//!   [`ReactorConfig::adaptive`] set,
 //!   the shard loops arm learned deadlines instead of the static
-//!   [`RetryPolicy`](retry::RetryPolicy) schedule (which remains the
+//!   [`RetryPolicy`] schedule (which remains the
 //!   upper bound), so lossy-path campaigns stop paying worst-case
 //!   retransmit budgets.
 //! * [`scheduler`] — campaign execution:
-//!   [`PipelinedCampaign`](scheduler::PipelinedCampaign) streams probes
+//!   [`PipelinedCampaign`] streams probes
 //!   through a reactor with a bounded, loss-paced window, and its
-//!   [`CampaignReport`](scheduler::CampaignReport) feeds the observed
+//!   [`CampaignReport`] feeds the observed
 //!   loss back into `cde-core::planner`.
-//! * [`timer`] — [`TimerWheel`](timer::TimerWheel): the hierarchical
+//! * [`timer`] — [`TimerWheel`]: the hierarchical
 //!   timing wheel backing the reactor's deadlines, with O(1)
-//!   cancellation by [`TimerKey`](timer::TimerKey).
-//! * [`bufpool`] — [`BufferPool`](bufpool::BufferPool): recycled probe
+//!   cancellation by [`TimerKey`].
+//! * [`bufpool`] — [`BufferPool`]: recycled probe
 //!   encodings for the reactor's alloc-free hot path.
-//! * [`metrics`] — [`EngineMetrics`](metrics::EngineMetrics): atomic
+//! * [`metrics`] — [`EngineMetrics`]: atomic
 //!   counters, latency and reactor-tick histograms, and in-loop health
 //!   gauges (timer-wheel depth, slab occupancy, send-batch fill) with a
 //!   `snapshot()` API; implements `cde-telemetry`'s `Collector`, so one
@@ -65,18 +65,18 @@
 //!   retried → matched | timed_out`, plus drop reasons) stream through a
 //!   `cde_telemetry::TelemetryHub`; see `ReactorConfig::{telemetry,
 //!   registry}` and `PipelinedCampaign::named`.
-//! * [`testbed`] — [`LiveTestbed`](testbed::LiveTestbed): the whole live
+//! * [`testbed`] — [`LiveTestbed`]: the whole live
 //!   chain (transport → resolver → authority) launched on loopback in
 //!   one call.
-//! * [`faulty`] — [`FaultyTransport`](faulty::FaultyTransport): any
+//! * [`faulty`] — [`FaultyTransport`]: any
 //!   transport wrapped in a deterministic `cde-faults::FaultPlan`
 //!   (bursty loss, duplication, delay spikes, REFUSED rate limiting);
 //!   the reactor additionally wears plans natively at its socket seam
-//!   ([`ReactorConfig::faults`](reactor::ReactorConfig::faults)) for
+//!   ([`ReactorConfig::faults`]) for
 //!   live-loopback chaos.
-//! * [`flight`] — [`FlightRecorder`](flight::FlightRecorder): the
+//! * [`flight`] — [`FlightRecorder`]: the
 //!   always-on black box. With
-//!   [`ReactorConfig::flight`](reactor::ReactorConfig::flight) set, each
+//!   [`ReactorConfig::flight`] set, each
 //!   shard loop writes a bounded seqlock ring of full-fidelity probe
 //!   lifecycle records (send/match/expiry timestamps, RTO used,
 //!   disposition, wire size, query id) plus per-datagram fault-layer

@@ -10,132 +10,180 @@
 //! index. A reactor shard instead grabs `shard(i)` once at launch and
 //! records into its own block with zero cross-core contention.
 //!
+//! Each counter is one row of the
+//! [`counter_block!`](cde_telemetry::counter_block) table below (cell,
+//! snapshot field, merge fold, Prometheus family, plain increment).
+//! Hand-written code is left for record sites touching several cells,
+//! the derived helpers and `Display`, and the families no single row
+//! owns (dropped replies by reason, duty cycle, the three histograms).
+//!
 //! Registering [`EngineMetrics`] into a
 //! [`MetricsRegistry`](cde_telemetry::MetricsRegistry) exposes every
 //! counter, gauge and histogram over Prometheus text or JSON snapshots;
 //! with more than one block, each family is exported per shard with a
 //! `shard` label.
 
-use cde_telemetry::{Collector, Metric};
+use cde_telemetry::{counter_block, Collector, Metric};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Number of exponential latency buckets. Bucket `i` covers
-/// `[BASE_US << i, BASE_US << (i + 1))` microseconds; the last bucket is
-/// open-ended.
+/// Number of exponential latency buckets. Bucket 0 holds
+/// `[0, BASE_US)` microseconds and bucket `i ≥ 1` holds
+/// `[BASE_US << (i - 1), BASE_US << i)`, so `BASE_US << i` is bucket
+/// `i`'s exported `le` edge; the last bucket is open-ended.
 const BUCKETS: usize = 24;
-/// Lower edge of bucket 0, in microseconds.
+/// Upper edge of bucket 0, in microseconds.
 const BASE_US: u64 = 16;
 /// Power-of-two send-batch size buckets: bucket `i` counts batches of
 /// `2^i` to `2^(i+1) − 1` datagrams; the last bucket is open-ended.
 const BATCH_BUCKETS: usize = 8;
 
-/// Shared atomic counters for one engine shard (or a whole unsharded
-/// engine — an in-process transport is "shard 0" of a 1-block engine).
-///
-/// All methods take `&self`; the struct is designed to sit behind an
-/// `Arc`, written by its shard loop while other threads snapshot it. `snapshot()` produces a
-/// consistent-enough point-in-time copy for reporting (individual loads
-/// are relaxed; exact cross-counter consistency is not needed for
-/// telemetry).
-#[derive(Debug, Default)]
-pub struct MetricsBlock {
+counter_block! {
+    /// Shared atomic counters for one engine shard (or a whole unsharded
+    /// engine — an in-process transport is "shard 0" of a 1-block engine).
+    ///
+    /// All methods take `&self`; the struct is designed to sit behind an
+    /// `Arc`, written by its shard loop while other threads snapshot it.
+    /// `snapshot()` produces a consistent-enough point-in-time copy for
+    /// reporting (individual loads are relaxed; exact cross-counter
+    /// consistency is not needed for telemetry).
+    #[derive(Debug, Default)]
+    pub struct MetricsBlock;
+    /// Point-in-time copy of a [`MetricsBlock`] (or of a whole
+    /// [`EngineMetrics`], merged across its shards: every field sums
+    /// except the two `*_max_us`, which keep the slowest shard's; the
+    /// summed `*_peak` gauges bound the true simultaneous peak).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MetricsSnapshot;
+
     /// Datagrams handed to the OS (every attempt counts).
-    sent: AtomicU64,
-    /// Responses received and matched to an outstanding query.
-    received: AtomicU64,
+    sent: AtomicU64, sum, counter "cde_engine_sent_total"
+        "Datagrams handed to the OS (every attempt counts)" => pub record_sent;
+    /// Responses received and matched to an outstanding probe.
+    received: AtomicU64, sum, counter "cde_engine_received_total"
+        "Responses matched to an outstanding probe";
     /// Probes that exhausted every attempt without an answer.
-    timeouts: AtomicU64,
-    /// Re-transmissions after a per-attempt deadline.
-    retries: AtomicU64,
+    timeouts: AtomicU64, sum, counter "cde_engine_timeouts_total"
+        "Probes that exhausted every attempt unanswered" => pub record_timeout;
+    /// Retransmissions after a per-attempt deadline.
+    retries: AtomicU64, sum, counter "cde_engine_retries_total"
+        "Retransmissions after a per-attempt deadline" => pub record_retry;
     /// Times a sender had to wait for rate-limiter tokens.
-    rate_limit_stalls: AtomicU64,
-    /// Total time spent waiting on the rate limiter, in microseconds.
-    rate_limit_wait_us: AtomicU64,
+    rate_limit_stalls: AtomicU64, sum, counter "cde_engine_rate_limit_stalls_total"
+        "Times a sender waited for rate-limiter tokens";
+    /// Cumulative time spent stalled on the rate limiter, in microseconds.
+    rate_limit_wait_us: AtomicU64, sum, counter "cde_engine_rate_limit_wait_us_total"
+        "Cumulative rate-limiter wait, in microseconds";
     /// Datagrams that arrived but failed wire decoding or ID matching,
     /// plus receive calls that failed outright (a socket that cannot be
     /// read yields nothing decodable either).
-    decode_errors: AtomicU64,
-    /// Latency histogram (microsecond buckets, exponential).
-    latency_buckets: [AtomicU64; BUCKETS],
-    /// Sum of all recorded latencies, in microseconds.
-    latency_sum_us: AtomicU64,
-    /// Count of recorded latencies.
-    latency_count: AtomicU64,
-    /// Probes currently in flight (reactor gauge).
-    in_flight: AtomicU64,
-    /// High-water mark of the in-flight gauge.
-    in_flight_peak: AtomicU64,
+    decode_errors: AtomicU64, sum, counter "cde_engine_decode_errors_total"
+        "Datagrams that failed wire decoding or matching" => pub record_decode_error;
+    /// Latency histogram counts (exponential microsecond buckets).
+    latency_buckets: [AtomicU64; BUCKETS], sum;
+    /// Sum of recorded latencies in microseconds.
+    latency_sum_us: AtomicU64, sum;
+    /// Number of recorded latencies.
+    latency_count: AtomicU64, sum;
+    /// Probes in flight at snapshot time (reactor gauge).
+    in_flight: AtomicU64, sum, gauge "cde_engine_in_flight" "Probes currently in flight";
+    /// Highest in-flight count seen.
+    in_flight_peak: AtomicU64, sum, gauge "cde_engine_in_flight_peak"
+        "Correlation-slab occupancy high-water mark";
     /// Well-formed replies with no matching outstanding probe (wrong or
     /// stale query id, or a reply arriving after the probe timed out).
-    stray_replies: AtomicU64,
+    stray_replies: AtomicU64, sum => pub record_stray_reply;
     /// Replies that matched a correlation key but came from a source
     /// address other than the probed target — spoofing, dropped.
-    spoofed_replies: AtomicU64,
+    spoofed_replies: AtomicU64, sum => pub record_spoofed_reply;
     /// Replies that matched `(socket, id)` but echoed a different
     /// question — a query-id collision, dropped.
-    qname_mismatches: AtomicU64,
+    qname_mismatches: AtomicU64, sum => pub record_qname_mismatch;
     /// Send-batch size histogram (power-of-two buckets).
-    batch_buckets: [AtomicU64; BATCH_BUCKETS],
+    batch_buckets: [AtomicU64; BATCH_BUCKETS], sum;
     /// Total datagrams across all batched sends (batch fill numerator).
-    batch_datagrams: AtomicU64,
+    batch_datagrams: AtomicU64, sum;
     /// Reactor loop iterations measured.
-    loop_count: AtomicU64,
-    /// Total reactor loop-iteration time, in microseconds.
-    loop_sum_us: AtomicU64,
-    /// Slowest reactor loop iteration, in microseconds.
-    loop_max_us: AtomicU64,
+    loop_count: AtomicU64, sum;
+    /// Total reactor loop time in microseconds.
+    loop_sum_us: AtomicU64, sum;
+    /// Slowest reactor loop iteration in microseconds.
+    loop_max_us: AtomicU64, max;
     /// Reactor tick (loop-iteration) latency histogram, same exponential
     /// microsecond buckets as the probe latency histogram.
-    loop_buckets: [AtomicU64; BUCKETS],
-    /// Timers pending in the reactor's wheel (sampled every iteration).
-    wheel_pending: AtomicU64,
-    /// High-water mark of the wheel-pending gauge.
-    wheel_pending_peak: AtomicU64,
-    /// Correlation-slab capacity (set once at reactor launch; the
-    /// occupancy gauge is `in_flight`, its high-water `in_flight_peak`).
-    slab_capacity: AtomicU64,
-    /// Submission-ring occupancy (sampled every loop iteration).
-    ring_depth: AtomicU64,
-    /// High-water mark of the submission-ring occupancy.
-    ring_depth_peak: AtomicU64,
-    /// Receive calls the shard made (`recv_batch`, one per socket read).
-    recv_calls: AtomicU64,
+    loop_buckets: [AtomicU64; BUCKETS], sum;
+    /// Timers pending in the reactor wheel at snapshot time: live ones
+    /// only, at most one per in-flight probe.
+    wheel_pending: AtomicU64, sum, gauge "cde_engine_wheel_pending"
+        "Timers pending in the reactor wheel";
+    /// Highest wheel-pending count seen.
+    wheel_pending_peak: AtomicU64, sum, gauge "cde_engine_wheel_pending_peak"
+        "High-water mark of pending reactor timers";
+    /// Correlation-slab capacity, set once at reactor launch (0 outside
+    /// a reactor); its occupancy gauge is `in_flight`.
+    slab_capacity: AtomicU64, sum, gauge "cde_engine_slab_capacity"
+        "Correlation-slab capacity (0 outside a reactor)";
+    /// Submission-ring occupancy at snapshot time.
+    ring_depth: AtomicU64, sum, gauge "cde_engine_ring_depth"
+        "Submission-ring occupancy at scrape time";
+    /// Highest submission-ring occupancy seen.
+    ring_depth_peak: AtomicU64, sum, gauge "cde_engine_ring_depth_peak"
+        "High-water mark of the submission-ring occupancy";
+    /// Receive calls made (`recv_batch`, one per socket read).
+    recv_calls: AtomicU64, sum, counter "cde_engine_recv_batches_total"
+        "Receive calls the reactor loop made, one per socket read";
     /// Receive calls that returned no datagram — attempted minus useful.
-    recv_empty: AtomicU64,
+    recv_empty: AtomicU64, sum, counter "cde_engine_recv_empty_total"
+        "Receive calls that returned no datagram";
     /// Waits the shard entered: times its loop really blocked in the
     /// poller (a wait skipped for queued work is not one). A loop with
     /// a readiness-reporting poller enters one after every pass that
     /// leaves nothing queued, busy or idle.
-    parks: AtomicU64,
-    /// Time spent parked, *including the wait in progress*, packed into
-    /// one word so a reader never sees a wait both finished and still
-    /// running. Bit 0 is set while the loop is blocked; bits 1.. hold
-    /// `P` (mod 2^63) where the parked total in microseconds is `P`
-    /// when idle and `P + clock_us()` while blocked — entering a wait
-    /// subtracts the clock, leaving it adds the clock back.
-    parked: AtomicU64,
-    /// Times the shard was woken from a park by a submitter.
-    unparks: AtomicU64,
+    parks: AtomicU64, sum, counter "cde_engine_parks_total"
+        "Times the reactor loop parked waiting for work";
+    /// Total time spent parked, in microseconds, including the wait in
+    /// progress.
+    // The cell packs this into one word so a reader never sees a wait
+    // both finished and still running: bit 0 is set while the loop is
+    // blocked; bits 1.. hold `P` (mod 2^63), the total being `P` when
+    // idle and `P + clock_us()` while blocked. `snapshot` unpacks it.
+    parked_us: AtomicU64, sum, counter "cde_engine_parked_us_total"
+        "Cumulative time the reactor loop spent parked, in microseconds";
+    /// Times the loop was woken from a park by a submitter.
+    unparks: AtomicU64, sum, counter "cde_engine_unparks_total"
+        "Times the reactor loop was woken from a park by a submitter";
     /// Total wake-to-first-poll latency, in microseconds: from the
     /// waker's unpark call to the parked loop resuming.
-    wake_latency_us: AtomicU64,
+    wake_latency_us: AtomicU64, sum, counter "cde_engine_wake_latency_us_total"
+        "Cumulative wake-to-first-poll latency, in microseconds";
     /// Slowest single wake-to-first-poll, in microseconds.
-    wake_latency_max_us: AtomicU64,
+    wake_latency_max_us: AtomicU64, max, gauge "cde_engine_wake_latency_max_us"
+        "Slowest single wake-to-first-poll, in microseconds";
     /// Sends whose deadline came from the adaptive RTO table rather
     /// than the static retry schedule.
-    adaptive_deadlines: AtomicU64,
+    adaptive_deadlines: AtomicU64, sum, counter "cde_engine_adaptive_deadlines_total"
+        "Sends armed with a learned (adaptive RTO) deadline" => pub record_adaptive_deadline;
     /// Deadline expiries that backed a learned per-ingress RTO off.
-    rto_backoffs: AtomicU64,
-    /// Loss-aware submit window currently applied by the pipelined
-    /// scheduler (0 when pacing is off or before the first adjustment).
-    paced_window: AtomicU64,
-    /// Lifecycle records written to the shard's flight ring.
-    flight_records: AtomicU64,
+    rto_backoffs: AtomicU64, sum, counter "cde_engine_rto_backoffs_total"
+        "Deadline expiries that backed a learned per-ingress RTO off" => pub record_rto_backoff;
+    /// Loss-aware submit window applied by the pipelined scheduler (0
+    /// when pacing is off or before the first adjustment; only block
+    /// 0's scheduler ever sets it).
+    paced_window: AtomicU64, sum, gauge "cde_engine_paced_window"
+        "Loss-aware submit window applied by the pipelined scheduler";
+    /// Lifecycle records written to the shard flight rings.
+    flight_records: AtomicU64, sum, counter "cde_engine_flight_records_total"
+        "Probe lifecycle records written to the flight recorder rings" => pub record_flight_record;
     /// Flight-ring records overwritten unread (drop-oldest sheds).
-    flight_shed: AtomicU64,
+    flight_shed: AtomicU64, sum, counter "cde_engine_flight_shed_total"
+        "Flight-recorder records overwritten unread (drop-oldest)" => pub record_flight_shed;
+}
+
+/// A duration in whole microseconds, saturating at `u64::MAX`.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 impl MetricsBlock {
@@ -144,42 +192,20 @@ impl MetricsBlock {
         Self::default()
     }
 
-    /// Records one datagram sent.
-    pub fn record_sent(&self) {
-        self.sent.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one matched response, with its round-trip time.
     pub fn record_received(&self, rtt: Duration) {
         self.received.fetch_add(1, Ordering::Relaxed);
-        let us = rtt.as_micros().min(u128::from(u64::MAX)) as u64;
+        let us = micros(rtt);
         self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
         self.latency_count.fetch_add(1, Ordering::Relaxed);
         self.latency_buckets[bucket_for(us)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a probe that ran out of attempts.
-    pub fn record_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one retry (an attempt after the first).
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a rate-limiter stall of `waited`.
     pub fn record_rate_limit_stall(&self, waited: Duration) {
         self.rate_limit_stalls.fetch_add(1, Ordering::Relaxed);
-        self.rate_limit_wait_us.fetch_add(
-            waited.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Records a datagram that could not be decoded/matched.
-    pub fn record_decode_error(&self) {
-        self.decode_errors.fetch_add(1, Ordering::Relaxed);
+        self.rate_limit_wait_us
+            .fetch_add(micros(waited), Ordering::Relaxed);
     }
 
     /// Sets the in-flight gauge, tracking its high-water mark.
@@ -188,34 +214,19 @@ impl MetricsBlock {
         self.in_flight_peak.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// Records a well-formed reply that matched no outstanding probe.
-    pub fn record_stray_reply(&self) {
-        self.stray_replies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a reply from an address other than the probed target.
-    pub fn record_spoofed_reply(&self) {
-        self.spoofed_replies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an id-matched reply echoing the wrong question.
-    pub fn record_qname_mismatch(&self) {
-        self.qname_mismatches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one batched send of `n` datagrams.
     pub fn record_send_batch(&self, n: usize) {
         if n == 0 {
             return;
         }
-        let idx = (usize::BITS - 1 - (n.max(1)).leading_zeros()) as usize;
+        let idx = n.ilog2() as usize;
         self.batch_buckets[idx.min(BATCH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
         self.batch_datagrams.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records one reactor loop iteration taking `took`.
     pub fn record_loop_iteration(&self, took: Duration) {
-        let us = took.as_micros().min(u128::from(u64::MAX)) as u64;
+        let us = micros(took);
         self.loop_count.fetch_add(1, Ordering::Relaxed);
         self.loop_sum_us.fetch_add(us, Ordering::Relaxed);
         self.loop_max_us.fetch_max(us, Ordering::Relaxed);
@@ -252,8 +263,8 @@ impl MetricsBlock {
     /// Records one finished park of `slept` spent waiting for work.
     pub fn record_park(&self, slept: Duration) {
         self.parks.fetch_add(1, Ordering::Relaxed);
-        let us = slept.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.parked.fetch_add(us << 1, Ordering::Relaxed);
+        self.parked_us
+            .fetch_add(micros(slept) << 1, Ordering::Relaxed);
     }
 
     /// Marks the owning loop as about to block. From here until
@@ -263,7 +274,7 @@ impl MetricsBlock {
     /// value. Single-writer: only the loop thread brackets its waits.
     pub fn begin_park(&self) {
         let delta = 1u64.wrapping_sub(clock_us() << 1);
-        self.parked.fetch_add(delta, Ordering::Relaxed);
+        self.parked_us.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Closes the wait opened by [`begin_park`](Self::begin_park);
@@ -271,7 +282,7 @@ impl MetricsBlock {
     /// already queued (not a park).
     pub fn end_park(&self, blocked: bool) {
         let delta = (clock_us() << 1).wrapping_sub(1);
-        self.parked.fetch_add(delta, Ordering::Relaxed);
+        self.parked_us.fetch_add(delta, Ordering::Relaxed);
         if blocked {
             self.parks.fetch_add(1, Ordering::Relaxed);
         }
@@ -279,20 +290,10 @@ impl MetricsBlock {
 
     /// Records one wake-from-park and its wake-to-first-poll latency.
     pub fn record_wake_latency(&self, latency: Duration) {
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
+        let us = micros(latency);
         self.unparks.fetch_add(1, Ordering::Relaxed);
         self.wake_latency_us.fetch_add(us, Ordering::Relaxed);
         self.wake_latency_max_us.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// Records one send armed with an adaptive (learned) deadline.
-    pub fn record_adaptive_deadline(&self) {
-        self.adaptive_deadlines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one deadline expiry backing a learned RTO off.
-    pub fn record_rto_backoff(&self) {
-        self.rto_backoffs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sets the loss-aware submit-window gauge.
@@ -300,77 +301,15 @@ impl MetricsBlock {
         self.paced_window.store(n, Ordering::Relaxed);
     }
 
-    /// Records one lifecycle record written to the flight ring.
-    pub fn record_flight_record(&self) {
-        self.flight_records.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one flight-ring record shed by drop-oldest.
-    pub fn record_flight_shed(&self) {
-        self.flight_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Takes a point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut latency_buckets = [0u64; BUCKETS];
-        for (dst, src) in latency_buckets.iter_mut().zip(&self.latency_buckets) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        let mut batch_buckets = [0u64; BATCH_BUCKETS];
-        for (dst, src) in batch_buckets.iter_mut().zip(&self.batch_buckets) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        let mut loop_buckets = [0u64; BUCKETS];
-        for (dst, src) in loop_buckets.iter_mut().zip(&self.loop_buckets) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        MetricsSnapshot {
-            sent: self.sent.load(Ordering::Relaxed),
-            received: self.received.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            rate_limit_stalls: self.rate_limit_stalls.load(Ordering::Relaxed),
-            rate_limit_wait: Duration::from_micros(self.rate_limit_wait_us.load(Ordering::Relaxed)),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            latency_buckets,
-            latency_sum_us: self.latency_sum_us.load(Ordering::Relaxed),
-            latency_count: self.latency_count.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            in_flight_peak: self.in_flight_peak.load(Ordering::Relaxed),
-            stray_replies: self.stray_replies.load(Ordering::Relaxed),
-            spoofed_replies: self.spoofed_replies.load(Ordering::Relaxed),
-            qname_mismatches: self.qname_mismatches.load(Ordering::Relaxed),
-            batch_buckets,
-            batch_datagrams: self.batch_datagrams.load(Ordering::Relaxed),
-            loop_count: self.loop_count.load(Ordering::Relaxed),
-            loop_sum_us: self.loop_sum_us.load(Ordering::Relaxed),
-            loop_max_us: self.loop_max_us.load(Ordering::Relaxed),
-            loop_buckets,
-            wheel_pending: self.wheel_pending.load(Ordering::Relaxed),
-            wheel_pending_peak: self.wheel_pending_peak.load(Ordering::Relaxed),
-            slab_capacity: self.slab_capacity.load(Ordering::Relaxed),
-            ring_depth: self.ring_depth.load(Ordering::Relaxed),
-            ring_depth_peak: self.ring_depth_peak.load(Ordering::Relaxed),
-            recv_calls: self.recv_calls.load(Ordering::Relaxed),
-            recv_empty: self.recv_empty.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            parked_us: {
-                // Clock first: a wait that ends between the two reads
-                // must not be extended past its real end.
-                let now = clock_us();
-                let packed = self.parked.load(Ordering::Relaxed);
-                let in_progress = if packed & 1 == 1 { now } else { 0 };
-                (packed >> 1).wrapping_add(in_progress) & (u64::MAX >> 1)
-            },
-            unparks: self.unparks.load(Ordering::Relaxed),
-            wake_latency_us: self.wake_latency_us.load(Ordering::Relaxed),
-            wake_latency_max_us: self.wake_latency_max_us.load(Ordering::Relaxed),
-            adaptive_deadlines: self.adaptive_deadlines.load(Ordering::Relaxed),
-            rto_backoffs: self.rto_backoffs.load(Ordering::Relaxed),
-            paced_window: self.paced_window.load(Ordering::Relaxed),
-            flight_records: self.flight_records.load(Ordering::Relaxed),
-            flight_shed: self.flight_shed.load(Ordering::Relaxed),
-        }
+        // Clock first: a wait that ends between the two reads must not
+        // be extended past its real end.
+        let now = clock_us();
+        let mut s = self.load();
+        let in_progress = if s.parked_us & 1 == 1 { now } else { 0 };
+        s.parked_us = (s.parked_us >> 1).wrapping_add(in_progress) & (u64::MAX >> 1);
+        s
     }
 }
 
@@ -381,6 +320,7 @@ fn clock_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
+/// The latency bucket holding `us` microseconds (see [`BUCKETS`]).
 fn bucket_for(us: u64) -> usize {
     if us < BASE_US {
         return 0;
@@ -481,149 +421,7 @@ impl EngineMetrics {
     }
 }
 
-/// Point-in-time copy of a [`MetricsBlock`] (or of a whole
-/// [`EngineMetrics`], merged across its shards).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Datagrams sent (attempts included).
-    pub sent: u64,
-    /// Matched responses received.
-    pub received: u64,
-    /// Probes that timed out after all attempts.
-    pub timeouts: u64,
-    /// Retransmissions.
-    pub retries: u64,
-    /// Rate-limiter stalls.
-    pub rate_limit_stalls: u64,
-    /// Cumulative time spent stalled on the rate limiter.
-    pub rate_limit_wait: Duration,
-    /// Undecodable/unmatched datagrams.
-    pub decode_errors: u64,
-    /// Latency histogram counts (exponential microsecond buckets).
-    pub latency_buckets: [u64; BUCKETS],
-    /// Sum of recorded latencies in microseconds.
-    pub latency_sum_us: u64,
-    /// Number of recorded latencies.
-    pub latency_count: u64,
-    /// Probes in flight at snapshot time (reactor gauge).
-    pub in_flight: u64,
-    /// Highest in-flight count seen. Across shards this sums per-shard
-    /// peaks — an upper bound on the true simultaneous peak.
-    pub in_flight_peak: u64,
-    /// Replies with no matching outstanding probe (wrong/stale id, or
-    /// arrival after the probe's timeout).
-    pub stray_replies: u64,
-    /// Id-matched replies from an unexpected source address.
-    pub spoofed_replies: u64,
-    /// Id-matched replies echoing the wrong question (id collisions).
-    pub qname_mismatches: u64,
-    /// Send-batch size histogram (power-of-two buckets).
-    pub batch_buckets: [u64; BATCH_BUCKETS],
-    /// Total datagrams across all batched sends.
-    pub batch_datagrams: u64,
-    /// Reactor loop iterations measured.
-    pub loop_count: u64,
-    /// Total reactor loop time in microseconds.
-    pub loop_sum_us: u64,
-    /// Slowest reactor loop iteration in microseconds.
-    pub loop_max_us: u64,
-    /// Reactor tick latency histogram (exponential microsecond buckets).
-    pub loop_buckets: [u64; BUCKETS],
-    /// Timers pending in the reactor wheel at snapshot time: live ones
-    /// only, at most one per in-flight probe.
-    pub wheel_pending: u64,
-    /// Highest wheel-pending count seen (summed per-shard peaks when
-    /// merged).
-    pub wheel_pending_peak: u64,
-    /// Correlation-slab capacity (0 outside a reactor; summed across
-    /// shards when merged).
-    pub slab_capacity: u64,
-    /// Submission-ring occupancy at snapshot time (summed when merged).
-    pub ring_depth: u64,
-    /// Highest submission-ring occupancy seen (summed per-shard peaks
-    /// when merged).
-    pub ring_depth_peak: u64,
-    /// Receive calls made, one per socket read.
-    pub recv_calls: u64,
-    /// Receive calls that returned no datagram.
-    pub recv_empty: u64,
-    /// Waits the reactor loop entered (times it really blocked in its
-    /// poller; see [`MetricsBlock`]).
-    pub parks: u64,
-    /// Total time spent parked, in microseconds.
-    pub parked_us: u64,
-    /// Times the loop was woken from a park by a submitter.
-    pub unparks: u64,
-    /// Total wake-to-first-poll latency, in microseconds.
-    pub wake_latency_us: u64,
-    /// Slowest single wake-to-first-poll, in microseconds (max across
-    /// shards when merged).
-    pub wake_latency_max_us: u64,
-    /// Sends whose deadline came from the adaptive RTO table.
-    pub adaptive_deadlines: u64,
-    /// Deadline expiries that backed a learned per-ingress RTO off.
-    pub rto_backoffs: u64,
-    /// Loss-aware submit window at snapshot time (0 when pacing is off;
-    /// summed when merged, but only block 0's scheduler ever sets it).
-    pub paced_window: u64,
-    /// Lifecycle records written to the shard flight rings.
-    pub flight_records: u64,
-    /// Flight-ring records overwritten unread (drop-oldest sheds).
-    pub flight_shed: u64,
-}
-
 impl MetricsSnapshot {
-    /// Folds `other` into `self`: counters, histograms, gauges and slab
-    /// capacity sum; `loop_max_us` takes the max; the peak gauges sum
-    /// (each shard peaked independently, so the sum bounds the true
-    /// global peak from above).
-    pub fn merge_from(&mut self, other: &MetricsSnapshot) {
-        self.sent += other.sent;
-        self.received += other.received;
-        self.timeouts += other.timeouts;
-        self.retries += other.retries;
-        self.rate_limit_stalls += other.rate_limit_stalls;
-        self.rate_limit_wait += other.rate_limit_wait;
-        self.decode_errors += other.decode_errors;
-        for (dst, src) in self.latency_buckets.iter_mut().zip(&other.latency_buckets) {
-            *dst += src;
-        }
-        self.latency_sum_us += other.latency_sum_us;
-        self.latency_count += other.latency_count;
-        self.in_flight += other.in_flight;
-        self.in_flight_peak += other.in_flight_peak;
-        self.stray_replies += other.stray_replies;
-        self.spoofed_replies += other.spoofed_replies;
-        self.qname_mismatches += other.qname_mismatches;
-        for (dst, src) in self.batch_buckets.iter_mut().zip(&other.batch_buckets) {
-            *dst += src;
-        }
-        self.batch_datagrams += other.batch_datagrams;
-        self.loop_count += other.loop_count;
-        self.loop_sum_us += other.loop_sum_us;
-        self.loop_max_us = self.loop_max_us.max(other.loop_max_us);
-        for (dst, src) in self.loop_buckets.iter_mut().zip(&other.loop_buckets) {
-            *dst += src;
-        }
-        self.wheel_pending += other.wheel_pending;
-        self.wheel_pending_peak += other.wheel_pending_peak;
-        self.slab_capacity += other.slab_capacity;
-        self.ring_depth += other.ring_depth;
-        self.ring_depth_peak += other.ring_depth_peak;
-        self.recv_calls += other.recv_calls;
-        self.recv_empty += other.recv_empty;
-        self.parks += other.parks;
-        self.parked_us += other.parked_us;
-        self.unparks += other.unparks;
-        self.wake_latency_us += other.wake_latency_us;
-        self.wake_latency_max_us = self.wake_latency_max_us.max(other.wake_latency_max_us);
-        self.adaptive_deadlines += other.adaptive_deadlines;
-        self.rto_backoffs += other.rto_backoffs;
-        self.paced_window += other.paced_window;
-        self.flight_records += other.flight_records;
-        self.flight_shed += other.flight_shed;
-    }
-
     /// Observed datagram loss rate: unanswered sends over sends.
     /// Retransmissions count as sends, so this tracks *wire* loss, not
     /// probe-level failure.
@@ -663,8 +461,7 @@ impl MetricsSnapshot {
         for (i, &count) in buckets.iter().enumerate() {
             seen += count;
             if seen >= target {
-                let upper_us = if i == 0 { BASE_US } else { BASE_US << i };
-                return Some(Duration::from_micros(upper_us));
+                return Some(Duration::from_micros(BASE_US << i));
             }
         }
         Some(Duration::from_micros(BASE_US << (BUCKETS - 1)))
@@ -735,7 +532,7 @@ impl fmt::Display for MetricsSnapshot {
             f,
             "rate-limit stalls {} (total wait {:?})  wire loss {:.2}%",
             self.rate_limit_stalls,
-            self.rate_limit_wait,
+            Duration::from_micros(self.rate_limit_wait_us),
             self.loss_rate() * 100.0
         )?;
         writeln!(
@@ -802,41 +599,7 @@ fn collect_snapshot(s: &MetricsSnapshot, shard: Option<u64>, out: &mut Vec<Metri
         Some(i) => m.with_label("shard", i.to_string()),
         None => m,
     };
-    out.push(label(Metric::counter(
-        "cde_engine_sent_total",
-        "Datagrams handed to the OS (every attempt counts)",
-        s.sent,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_received_total",
-        "Responses matched to an outstanding probe",
-        s.received,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_timeouts_total",
-        "Probes that exhausted every attempt unanswered",
-        s.timeouts,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_retries_total",
-        "Retransmissions after a per-attempt deadline",
-        s.retries,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_rate_limit_stalls_total",
-        "Times a sender waited for rate-limiter tokens",
-        s.rate_limit_stalls,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_rate_limit_wait_us_total",
-        "Cumulative rate-limiter wait, in microseconds",
-        s.rate_limit_wait.as_micros().min(u128::from(u64::MAX)) as u64,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_decode_errors_total",
-        "Datagrams that failed wire decoding or matching",
-        s.decode_errors,
-    )));
+    s.collect_into(label, out);
     for (reason, count) in [
         ("stray", s.stray_replies),
         ("spoofed", s.spoofed_replies),
@@ -852,104 +615,9 @@ fn collect_snapshot(s: &MetricsSnapshot, shard: Option<u64>, out: &mut Vec<Metri
         ));
     }
     out.push(label(Metric::gauge(
-        "cde_engine_in_flight",
-        "Probes currently in flight",
-        s.in_flight as f64,
-    )));
-    out.push(label(Metric::gauge(
-        "cde_engine_in_flight_peak",
-        "Correlation-slab occupancy high-water mark",
-        s.in_flight_peak as f64,
-    )));
-    out.push(label(Metric::gauge(
-        "cde_engine_slab_capacity",
-        "Correlation-slab capacity (0 outside a reactor)",
-        s.slab_capacity as f64,
-    )));
-    out.push(label(Metric::gauge(
-        "cde_engine_ring_depth",
-        "Submission-ring occupancy at scrape time",
-        s.ring_depth as f64,
-    )));
-    out.push(label(Metric::gauge(
-        "cde_engine_ring_depth_peak",
-        "High-water mark of the submission-ring occupancy",
-        s.ring_depth_peak as f64,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_recv_batches_total",
-        "Receive calls the reactor loop made, one per socket read",
-        s.recv_calls,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_recv_empty_total",
-        "Receive calls that returned no datagram",
-        s.recv_empty,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_parks_total",
-        "Times the reactor loop parked waiting for work",
-        s.parks,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_parked_us_total",
-        "Cumulative time the reactor loop spent parked, in microseconds",
-        s.parked_us,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_unparks_total",
-        "Times the reactor loop was woken from a park by a submitter",
-        s.unparks,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_wake_latency_us_total",
-        "Cumulative wake-to-first-poll latency, in microseconds",
-        s.wake_latency_us,
-    )));
-    out.push(label(Metric::gauge(
-        "cde_engine_wake_latency_max_us",
-        "Slowest single wake-to-first-poll, in microseconds",
-        s.wake_latency_max_us as f64,
-    )));
-    out.push(label(Metric::gauge(
         "cde_engine_duty_cycle",
         "Reactor loop time over loop-plus-parked time (1.0 = never idle)",
         s.duty_cycle().unwrap_or(0.0),
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_adaptive_deadlines_total",
-        "Sends armed with a learned (adaptive RTO) deadline",
-        s.adaptive_deadlines,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_rto_backoffs_total",
-        "Deadline expiries that backed a learned per-ingress RTO off",
-        s.rto_backoffs,
-    )));
-    out.push(label(Metric::gauge(
-        "cde_engine_paced_window",
-        "Loss-aware submit window applied by the pipelined scheduler",
-        s.paced_window as f64,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_flight_records_total",
-        "Probe lifecycle records written to the flight recorder rings",
-        s.flight_records,
-    )));
-    out.push(label(Metric::counter(
-        "cde_engine_flight_shed_total",
-        "Flight-recorder records overwritten unread (drop-oldest)",
-        s.flight_shed,
-    )));
-    out.push(label(Metric::gauge(
-        "cde_engine_wheel_pending",
-        "Timers pending in the reactor wheel",
-        s.wheel_pending as f64,
-    )));
-    out.push(label(Metric::gauge(
-        "cde_engine_wheel_pending_peak",
-        "High-water mark of pending reactor timers",
-        s.wheel_pending_peak as f64,
     )));
     out.push(label(Metric::histogram(
         "cde_engine_probe_rtt_seconds",
@@ -1013,7 +681,7 @@ mod tests {
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.rate_limit_stalls, 1);
         assert_eq!(s.decode_errors, 1);
-        assert!(s.rate_limit_wait >= Duration::from_millis(2));
+        assert_eq!(s.rate_limit_wait_us, 2_000);
         assert!((s.loss_rate() - 0.5).abs() < 1e-9);
     }
 
@@ -1065,6 +733,30 @@ mod tests {
         let p99 = s.latency_quantile(0.99).unwrap();
         assert!(p50 <= p99);
         assert!(s.mean_latency().unwrap() > Duration::from_micros(100));
+    }
+
+    /// Bucket 0 is `[0, BASE_US)`, bucket `i` is `[BASE_US << (i - 1),
+    /// BASE_US << i)`, the top bucket is open: every value lands below
+    /// its bucket's exported `le` edge and at or above the one before.
+    #[test]
+    fn bucket_for_matches_exported_le_edges() {
+        let edges: Vec<f64> = cumulative_seconds(&[0; BUCKETS])
+            .iter()
+            .map(|&(le, _)| le)
+            .collect();
+        let top = BASE_US << (BUCKETS - 2);
+        let values = [0, 15, 16, 31, 32, top - 1, top, u64::MAX];
+        let buckets = [0, 0, 1, 1, 2, BUCKETS - 2, BUCKETS - 1, BUCKETS - 1];
+        for (us, bucket) in values.into_iter().zip(buckets) {
+            assert_eq!(bucket_for(us), bucket, "{us} µs");
+            let secs = us as f64 / 1e6;
+            if let Some(&le) = edges.get(bucket) {
+                assert!(secs < le, "{us} µs not below le={le}");
+            }
+            if bucket > 0 {
+                assert!(secs >= edges[bucket - 1], "{us} µs below bucket {bucket}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! reactor runs **N independent shards** (default: one per core) and
 //! partitions probes across them:
 //!
-//! * each shard (see [`crate::shard`]) owns its own socket pool,
+//! * each shard (see the `shard` module) owns its own socket pool,
 //!   **correlation table** keyed on `(socket, query id)`, [hierarchical
 //!   timer wheel](crate::timer::TimerWheel) and buffer pool — nothing on
 //!   the hot path is shared, so shards scale without lock contention;

@@ -3,12 +3,17 @@
 //! Feeds a deterministic script of observations into every collector the
 //! reactor registers — [`EngineMetrics`] (including the shard-runtime
 //! series: ring depth, receive calls, parks, wake latency, duty cycle),
+//! a shard-labelled buffer pool's [`PoolStats`](cde_engine::PoolStats),
+//! the [`FaultStats`](cde_faults::FaultStats) of a fixed-seed fault plan,
 //! the per-target RTT digests, the phase profiler and a [`Pulse`] health
 //! engine with an exemplar reservoir — and compares the rendered
-//! exposition byte for byte against `tests/golden/metrics.prom`. Any
-//! change to a family name, help string, label, bucket edge or
-//! cumulative-histogram shape (`_bucket`/`_sum`/`_count`) shows up as a
-//! reviewable golden diff instead of a silent dashboard break.
+//! exposition byte for byte against `tests/golden/metrics.prom`. A
+//! two-shard [`EngineMetrics`] (every series `shard`-labelled) is pinned
+//! the same way in `tests/golden/metrics_sharded.prom`, and the scripted
+//! snapshot's `Display` text as a literal. Any change to a family name,
+//! help string, label, bucket edge or cumulative-histogram shape
+//! (`_bucket`/`_sum`/`_count`) shows up as a reviewable golden diff
+//! instead of a silent dashboard break.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -16,7 +21,11 @@
 //! UPDATE_GOLDEN=1 cargo test -p cde-engine --test prometheus_golden
 //! ```
 
-use cde_engine::EngineMetrics;
+use cde_engine::{BufferPool, EngineMetrics, MetricsBlock};
+use cde_faults::{
+    DelayFault, Direction, DuplicateFault, FaultInjector, FaultPlan, LossFault, RateLimitAction,
+    RateLimitFault, TruncateFault,
+};
 use cde_insight::{PhaseProfiler, RttDigestSet, PHASES};
 use cde_pulse::{CounterSample, ExemplarReservoir, ProbeExemplar, Pulse, ShardStat, SloSpec};
 use cde_telemetry::MetricsRegistry;
@@ -24,12 +33,8 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
 
-#[test]
-fn prometheus_exposition_matches_golden() {
-    let registry = MetricsRegistry::new();
-
-    let metrics = Arc::new(EngineMetrics::new());
-    let block = metrics.shard(0);
+/// The scripted observations every engine golden starts from.
+fn script(block: &MetricsBlock) {
     for _ in 0..6 {
         block.record_sent();
     }
@@ -57,7 +62,70 @@ fn prometheus_exposition_matches_golden() {
     block.set_ring_depth(3);
     block.record_park(Duration::from_micros(240));
     block.record_wake_latency(Duration::from_micros(35));
+}
+
+/// Compares `rendered` with `tests/golden/<file>`, or rewrites the file
+/// when `UPDATE_GOLDEN` is set.
+fn check_golden(file: &str, rendered: &str) {
+    let golden_path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden_path, rendered).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&golden_path).expect("golden file missing");
+    assert_eq!(
+        rendered, golden,
+        "Prometheus exposition drifted from tests/golden/{file}; \
+         rerun with UPDATE_GOLDEN=1 if the change is intentional"
+    );
+}
+
+#[test]
+fn prometheus_exposition_matches_golden() {
+    let registry = MetricsRegistry::new();
+
+    let metrics = Arc::new(EngineMetrics::new());
+    script(&metrics.shard(0));
     registry.register(metrics);
+
+    let mut pool = BufferPool::new_labeled(64, 2, 1);
+    let bufs: Vec<_> = (0..4).map(|_| pool.take()).collect();
+    for buf in bufs {
+        pool.give(buf);
+    }
+    let _recycled = pool.take();
+    registry.register(pool.stats());
+
+    let mut injector = FaultInjector::new(&FaultPlan {
+        query_loss: LossFault::Uniform { rate: 0.2 },
+        reply_loss: LossFault::Bursty {
+            mean_loss: 0.2,
+            mean_burst: 2.0,
+        },
+        hard_error_rate: 0.05,
+        delay: Some(DelayFault {
+            jitter: Duration::from_millis(5),
+            spike_rate: 0.1,
+            spike: Duration::from_millis(50),
+        }),
+        duplicate: Some(DuplicateFault {
+            rate: 0.1,
+            copies: 1,
+        }),
+        truncate: Some(TruncateFault { rate: 0.05 }),
+        rate_limit: Some(RateLimitFault {
+            qps: 50.0,
+            burst: 5.0,
+            action: RateLimitAction::Refuse,
+        }),
+        ..FaultPlan::clean(12)
+    });
+    for i in 0..100u64 {
+        let now = Duration::from_millis(i * 10);
+        injector.decide(Direction::ClientToServer, now, 64);
+        injector.decide(Direction::ServerToClient, now, 96);
+    }
+    registry.register(injector.stats());
 
     let digests = Arc::new(RttDigestSet::for_targets([
         Ipv4Addr::new(192, 0, 2, 1),
@@ -154,15 +222,53 @@ fn prometheus_exposition_matches_golden() {
             "missing TYPE for {family}"
         );
     }
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.prom");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &rendered).unwrap();
-        return;
+    for family in [
+        "cde_bufpool_minted_total",
+        "cde_bufpool_idle",
+        "cde_faults_query_drops_total",
+        "cde_faults_delivered_total",
+    ] {
+        assert!(
+            rendered.contains(&format!("# TYPE {family} ")),
+            "missing TYPE for {family}"
+        );
     }
-    let golden = std::fs::read_to_string(golden_path).expect("golden file missing");
+    check_golden("metrics.prom", &rendered);
+}
+
+/// A two-shard engine exports every family once per shard, each series
+/// tagged `shard="i"` after its own labels.
+#[test]
+fn sharded_exposition_matches_golden() {
+    let metrics = Arc::new(EngineMetrics::with_shards(2));
+    script(&metrics.shard(0));
+    let second = metrics.shard(1);
+    second.record_sent();
+    second.record_received(Duration::from_micros(300));
+    second.record_stray_reply();
+    second.set_in_flight(7);
+    second.record_send_batch(1);
+    second.record_loop_iteration(Duration::from_micros(2_000));
+    second.record_park(Duration::from_micros(500));
+    second.record_wake_latency(Duration::from_micros(60));
+    second.record_adaptive_deadline();
+    second.record_flight_record();
+    let registry = MetricsRegistry::new();
+    registry.register(metrics);
+    check_golden("metrics_sharded.prom", &registry.prometheus_text());
+}
+
+#[test]
+fn scripted_snapshot_display_is_pinned() {
+    let metrics = EngineMetrics::new();
+    script(&metrics.shard(0));
     assert_eq!(
-        rendered, golden,
-        "Prometheus exposition drifted from tests/golden/metrics.prom; \
-         rerun with UPDATE_GOLDEN=1 if the change is intentional"
+        metrics.snapshot().to_string(),
+        "sent 6  received 4  timeouts 1  retries 1  decode errors 1\n\
+         rate-limit stalls 1 (total wait 1.5ms)  wire loss 33.33%\n\
+         in-flight 1 (peak 4)  dropped replies: 1 stray, 1 spoofed, 1 id-collisions\n\
+         reactor: 1 loops (mean 80µs, max 80µs)  2 send batches\n\
+         parking: 1 parks / 1 unparks  duty 25.0%  wake mean 35µs max 35µs\n\
+         latency mean 40.767ms  p50 ≤ 1.024ms  p99 ≤ 131.072ms"
     );
 }

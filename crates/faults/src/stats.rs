@@ -1,37 +1,36 @@
 //! Atomic accounting of everything the injector did to the traffic.
 
-use cde_telemetry::{Collector, Metric};
-use std::sync::atomic::{AtomicU64, Ordering};
+use cde_telemetry::{counter_block, Collector, Metric};
+use std::sync::atomic::Ordering;
 
-/// Counters of injected faults, shared between the injector and whoever
-/// wants to assert on (or export) what the chaos layer actually did.
-///
-/// Registered into a [`MetricsRegistry`](cde_telemetry::MetricsRegistry)
-/// these surface as `cde_faults_*` counter families.
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    query_drops: AtomicU64,
-    reply_drops: AtomicU64,
-    hard_errors: AtomicU64,
-    rate_limited: AtomicU64,
-    refused: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    truncated: AtomicU64,
-    delivered: AtomicU64,
-}
+counter_block! {
+    /// Counters of injected faults, shared between the injector and whoever
+    /// wants to assert on (or export) what the chaos layer actually did.
+    ///
+    /// Registered into a [`MetricsRegistry`](cde_telemetry::MetricsRegistry)
+    /// these surface as `cde_faults_*` counter families.
+    #[derive(Debug, Default)]
+    pub struct FaultStats;
+    struct FaultCounts;
 
-macro_rules! counter {
-    ($record:ident, $get:ident) => {
-        pub(crate) fn $record(&self) {
-            self.$get.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// The current value of this counter.
-        pub fn $get(&self) -> u64 {
-            self.$get.load(Ordering::Relaxed)
-        }
-    };
+    query_drops: AtomicU64, sum, counter "cde_faults_query_drops_total"
+        "Queries dropped by injected loss" => pub(crate) record_query_drop;
+    reply_drops: AtomicU64, sum, counter "cde_faults_reply_drops_total"
+        "Replies dropped by injected loss" => pub(crate) record_reply_drop;
+    hard_errors: AtomicU64, sum, counter "cde_faults_hard_errors_total"
+        "Queries killed by injected hard (ICMP-style) errors" => pub(crate) record_hard_error;
+    rate_limited: AtomicU64, sum, counter "cde_faults_rate_limited_total"
+        "Queries over the injected resolver rate limit" => pub(crate) record_rate_limited;
+    refused: AtomicU64, sum, counter "cde_faults_refused_total"
+        "Rate-limited queries answered REFUSED" => pub(crate) record_refused;
+    duplicated: AtomicU64, sum, counter "cde_faults_duplicated_total"
+        "Extra datagram copies injected" => pub(crate) record_duplicated;
+    delayed: AtomicU64, sum, counter "cde_faults_delayed_total"
+        "Datagrams held back by injected jitter/spikes" => pub(crate) record_delayed;
+    truncated: AtomicU64, sum, counter "cde_faults_truncated_total"
+        "Datagrams cut short by injected truncation" => pub(crate) record_truncated;
+    delivered: AtomicU64, sum, counter "cde_faults_delivered_total"
+        "Datagrams the injector let through" => pub(crate) record_delivered;
 }
 
 impl FaultStats {
@@ -40,15 +39,50 @@ impl FaultStats {
         FaultStats::default()
     }
 
-    counter!(record_query_drop, query_drops);
-    counter!(record_reply_drop, reply_drops);
-    counter!(record_hard_error, hard_errors);
-    counter!(record_rate_limited, rate_limited);
-    counter!(record_refused, refused);
-    counter!(record_duplicated, duplicated);
-    counter!(record_delayed, delayed);
-    counter!(record_truncated, truncated);
-    counter!(record_delivered, delivered);
+    /// Queries dropped by injected loss.
+    pub fn query_drops(&self) -> u64 {
+        self.query_drops.load(Ordering::Relaxed)
+    }
+
+    /// Replies dropped by injected loss.
+    pub fn reply_drops(&self) -> u64 {
+        self.reply_drops.load(Ordering::Relaxed)
+    }
+
+    /// Queries killed by injected hard (ICMP-style) errors.
+    pub fn hard_errors(&self) -> u64 {
+        self.hard_errors.load(Ordering::Relaxed)
+    }
+
+    /// Queries over the injected resolver rate limit.
+    pub fn rate_limited(&self) -> u64 {
+        self.rate_limited.load(Ordering::Relaxed)
+    }
+
+    /// Rate-limited queries answered REFUSED.
+    pub fn refused(&self) -> u64 {
+        self.refused.load(Ordering::Relaxed)
+    }
+
+    /// Extra datagram copies injected.
+    pub fn duplicated(&self) -> u64 {
+        self.duplicated.load(Ordering::Relaxed)
+    }
+
+    /// Datagrams held back by injected jitter/spikes.
+    pub fn delayed(&self) -> u64 {
+        self.delayed.load(Ordering::Relaxed)
+    }
+
+    /// Datagrams cut short by injected truncation.
+    pub fn truncated(&self) -> u64 {
+        self.truncated.load(Ordering::Relaxed)
+    }
+
+    /// Datagrams the injector let through.
+    pub fn delivered(&self) -> u64 {
+        self.delivered.load(Ordering::Relaxed)
+    }
 
     /// Datagrams removed from the wire for any reason (loss, hard error,
     /// rate-limit drops — REFUSED answers are not drops).
@@ -69,51 +103,7 @@ impl FaultStats {
 
 impl Collector for FaultStats {
     fn collect(&self, out: &mut Vec<Metric>) {
-        out.push(Metric::counter(
-            "cde_faults_query_drops_total",
-            "Queries dropped by injected loss",
-            self.query_drops(),
-        ));
-        out.push(Metric::counter(
-            "cde_faults_reply_drops_total",
-            "Replies dropped by injected loss",
-            self.reply_drops(),
-        ));
-        out.push(Metric::counter(
-            "cde_faults_hard_errors_total",
-            "Queries killed by injected hard (ICMP-style) errors",
-            self.hard_errors(),
-        ));
-        out.push(Metric::counter(
-            "cde_faults_rate_limited_total",
-            "Queries over the injected resolver rate limit",
-            self.rate_limited(),
-        ));
-        out.push(Metric::counter(
-            "cde_faults_refused_total",
-            "Rate-limited queries answered REFUSED",
-            self.refused(),
-        ));
-        out.push(Metric::counter(
-            "cde_faults_duplicated_total",
-            "Extra datagram copies injected",
-            self.duplicated(),
-        ));
-        out.push(Metric::counter(
-            "cde_faults_delayed_total",
-            "Datagrams held back by injected jitter/spikes",
-            self.delayed(),
-        ));
-        out.push(Metric::counter(
-            "cde_faults_truncated_total",
-            "Datagrams cut short by injected truncation",
-            self.truncated(),
-        ));
-        out.push(Metric::counter(
-            "cde_faults_delivered_total",
-            "Datagrams the injector let through",
-            self.delivered(),
-        ));
+        self.load().collect_into(|m| m, out);
     }
 }
 

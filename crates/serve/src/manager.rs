@@ -14,7 +14,7 @@
 //!
 //! Serving-side observations (honey fetches seen by the nameserver) are
 //! drained from the resolver's shared channel **only** inside
-//! [`CampaignManager::checkpoint_campaign`]: drain → count → write temp
+//! `CampaignManager::checkpoint_campaign`: drain → count → write temp
 //! file → atomic rename. Between checkpoints the events stay queued on
 //! the resolver's bounded channel, which survives the death of this
 //! process's transport — a resumed manager's fresh transport drains the

@@ -40,7 +40,7 @@
 //! portable backend degrades to a bounded thread park (see [`poll`]).
 //!
 //! This is deliberately the *only* crate in the workspace that contains
-//! `unsafe` code (the FFI structs and calls live in [`mmsg`] and
+//! `unsafe` code (the FFI structs and calls live in `mmsg` and
 //! [`poll`], the receive slots' mappings in `mapped`, the SIGUSR1
 //! latch in [`signal`], and the lock-free submission ring in
 //! [`MpscRing`]); every other crate keeps

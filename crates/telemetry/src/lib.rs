@@ -17,6 +17,11 @@
 //! * **Metrics** ([`registry`], [`prometheus`]) — a pull-model
 //!   [`MetricsRegistry`] that components register [`Collector`]s into,
 //!   exported as the Prometheus text format or a JSON snapshot.
+//! * **Counter tables** ([`counter_block!`]) — a component declares its
+//!   atomic counters once, one row each (fold, exported family, HELP
+//!   text, increment method), and gets the atomic block, its snapshot,
+//!   the cross-block merge and the [`Collector`] rows generated from
+//!   that single table.
 //!
 //! Binaries install a process-wide hub via [`install_global`]; library
 //! code emits through [`global`], which is a no-op until then.
@@ -24,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counters;
 pub mod event;
 pub mod hub;
 pub mod json;
