@@ -1,7 +1,7 @@
 # Convenience targets; everything builds offline from vendored deps
 # (third_party/, see README "Offline builds").
 
-.PHONY: build test test-fallback experiments-check chaos bench-smoke benchmark-smoke analyze-smoke serve-smoke forensics-smoke lint doc-check
+.PHONY: build test test-fallback experiments-check chaos benchmark-smoke analyze-smoke serve-smoke forensics-smoke lint doc-check
 
 build:
 	cargo build --release --locked
@@ -30,11 +30,6 @@ test-fallback:
 experiments-check:
 	cargo run --release --locked -q -p cde-bench --bin experiments -- all 2>/dev/null \
 		| diff -u tests/golden/experiments_all.txt -
-
-# Run every criterion bench exactly once — a fast correctness pass over
-# the bench harnesses (the zero-alloc wire bench asserts its property).
-bench-smoke:
-	cargo bench -p cde-bench --locked -- --test
 
 # The repo benchmark (benchmark/, BENCHMARK.json) is what a performance
 # change is judged on, and it is its own cargo package that `build` and
@@ -102,6 +97,6 @@ lint:
 # fix.
 doc-check:
 	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked \
-		--exclude bytes --exclude criterion --exclude crossbeam \
+		--exclude bytes --exclude crossbeam \
 		--exclude parking_lot --exclude proptest --exclude rand \
 		--exclude serde --exclude serde_derive

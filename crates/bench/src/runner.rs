@@ -47,9 +47,10 @@ pub fn measure_network(spec: &NetworkSpec) -> MeasuredNetwork {
     let ingress: Vec<Ipv4Addr> = if ingress_all.len() <= INGRESS_SAMPLE {
         ingress_all
     } else {
-        // Spread the sample across the list (covers every cluster under
-        // the platforms' round-robin ingress assignment and is a fair
-        // random-ish sample otherwise).
+        // A fixed stride through the list. Platforms assign ingress
+        // addresses to clusters round-robin, so when the stride is a
+        // multiple of the cluster count every sample lands in cluster 0
+        // and the other clusters are never enumerated (ROADMAP item 15).
         let step = ingress_all.len() / INGRESS_SAMPLE;
         (0..INGRESS_SAMPLE).map(|i| ingress_all[i * step]).collect()
     };
