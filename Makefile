@@ -13,12 +13,14 @@ test:
 # park instead of ppoll) are what every non-Linux target runs and what
 # nothing on a Linux box exercises unless forced: run the sysio suite,
 # the engine's unit tests (the batched resolver serving without
-# coalesced receives) and the reactor suites that lean on the wait with
-# the fallback on.
+# coalesced receives), the reactor suites that lean on the wait and the
+# single-time-base suite (one clock stamp per datagram, as the portable
+# receive reads one per call) with the fallback on.
 test-fallback:
 	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-sysio
 	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-engine --lib \
-		--test reactor_correlation --test reactor_shard --test reactor_wait
+		--test reactor_correlation --test reactor_shard --test reactor_wait \
+		--test reactor_insight
 
 # Every simulator table at the default seed and scale, diffed byte for
 # byte against the committed stdout of `experiments all`. A change that
@@ -40,12 +42,16 @@ experiments-check:
 # its exactly-once and served-equals-sent self-checks; the `chain_flood`
 # run drives LoopbackResolver's batched serving (coalesced receives,
 # segmented replies), checked by its honey-fetch and every-probe-
-# accounted self-checks. All share the repository's target directory,
-# so the dependencies build once.
+# accounted self-checks; the `reflector_observed` run drives the flood
+# with all four observability tiers on (batched telemetry pushes,
+# flight records, exemplars, digests) under the same exactly-once
+# checks. All share the repository's target directory, so the
+# dependencies build once.
 benchmark-smoke:
 	CARGO_TARGET_DIR=target cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 	bash benchmark/run.sh --only paced_rtt --seconds 4
 	bash benchmark/run.sh --only reflector_flood --seconds 4
+	bash benchmark/run.sh --only reflector_observed --seconds 4
 	bash benchmark/run.sh --only chain_flood --seconds 4
 
 # Both chaos suites: the hermetic FaultyTransport tests and the live

@@ -227,13 +227,9 @@ impl FlightRing {
         }
     }
 
-    /// Microseconds elapsed since the recorder's shared epoch — the
-    /// time base for every field of a [`FlightRecord`].
-    pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// µs since epoch for an arbitrary [`Instant`] taken after launch.
+    /// Microseconds from the recorder's shared epoch to `at` — the time
+    /// base for every field of a [`FlightRecord`]; 0 for an `at` before
+    /// launch.
     pub fn instant_us(&self, at: Instant) -> u64 {
         at.saturating_duration_since(self.epoch).as_micros() as u64
     }
@@ -623,9 +619,9 @@ mod tests {
     #[test]
     fn epoch_timestamps_are_shared_across_rings() {
         let recorder = FlightRecorder::new(3, 4);
-        let a = recorder.ring(0).now_us();
+        let a = recorder.ring(0).instant_us(Instant::now());
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let b = recorder.ring(2).now_us();
+        let b = recorder.ring(2).instant_us(Instant::now());
         assert!(b > a, "later ring read must be later on the shared epoch");
     }
 }

@@ -46,7 +46,7 @@ use crate::resolver::{LoopbackResolver, ResolverSync};
 use crate::retry::RetryPolicy;
 use crate::rto::RtoTable;
 pub use crate::shard::shard_for_target;
-use crate::shard::{empty_slots, FaultLayer, ShardLoop, Submission, MAX_SLAB};
+use crate::shard::{empty_slots, FaultLayer, PassEvents, ShardLoop, Submission, MAX_SLAB};
 use crate::timer::TimerWheel;
 use crate::transport::{Transport, TransportReply};
 use cde_core::AccessProvider;
@@ -504,8 +504,9 @@ impl ShardedReactor {
                 limiter: config.limiter.clone(),
                 rng: DetRng::seed(config.seed).fork_indexed("reactor", i as u64),
                 start: Instant::now(),
+                now: Instant::now(),
                 block,
-                telemetry: Arc::clone(&telemetry),
+                telemetry: PassEvents::new(Arc::clone(&telemetry)),
                 shutdown: Arc::clone(&shutdown),
                 drain: Arc::clone(&drain),
                 faults: faults.take(),

@@ -15,7 +15,7 @@
 use crate::authority::{obs_queue, ObsSender, Observation, SourceRegistrar, WireAuthority};
 use crate::clock::EngineClock;
 use cde_dns::{Message, Question, Rcode};
-use cde_netsim::DetRng;
+use cde_netsim::{DetRng, SimTime};
 use cde_platform::{NameserverNet, ResolutionPlatform, ResolveResult};
 use cde_sysio::{Poller, RecvSlot, SendItem, Waker, MAX_BATCH};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -277,6 +277,9 @@ fn run(
                 if got == 0 {
                     break;
                 }
+                // One clock reading per receive call: every query it
+                // carried arrived by then.
+                let now = clock.now();
                 served = true;
                 for slot in &slots[..got] {
                     let Some(peer) = slot.from() else { continue };
@@ -292,7 +295,7 @@ fn run(
                             &mut replayer,
                             &obs_tx,
                             &cfg,
-                            clock,
+                            now,
                         );
                         replies.extend(reply.map(|bytes| (bytes, peer)));
                     }
@@ -335,7 +338,8 @@ fn send_replies(socket: &UdpSocket, replies: &[(Vec<u8>, SocketAddrV4)]) {
     }
 }
 
-/// Resolves one client datagram and returns the reply to send, if any.
+/// Resolves one client datagram, received at `now`, and returns the
+/// reply to send, if any.
 #[allow(clippy::too_many_arguments)]
 fn handle_datagram(
     platform: &mut ResolutionPlatform,
@@ -347,7 +351,7 @@ fn handle_datagram(
     replayer: &mut Option<Replayer>,
     obs_tx: &ObsSender,
     cfg: &ResolverConfig,
-    clock: EngineClock,
+    now: SimTime,
 ) -> Option<Vec<u8>> {
     // Untrusted bytes from the wire: drop anything malformed.
     let query = Message::decode(datagram).ok()?;
@@ -369,7 +373,7 @@ fn handle_datagram(
         ingress,
         question.qname(),
         question.qtype(),
-        clock.now(),
+        now,
         net,
     );
     // Stream the upstream queries this resolution caused: replay each over

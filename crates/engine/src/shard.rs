@@ -29,7 +29,7 @@ use cde_insight::Phase;
 use cde_netsim::{DetRng, SimDuration};
 use cde_pulse::{ExemplarReservoir, ProbeExemplar};
 use cde_sysio::{MpscRing, Poller, RecvSlot, SendItem, MAX_BATCH};
-use cde_telemetry::{DropReason, EventKind as TelemetryEvent, TelemetryHub};
+use cde_telemetry::{DropReason, Event, EventKind as TelemetryEvent, TelemetryHub};
 use crossbeam::channel::Sender;
 use rand::Rng;
 use std::cmp::Ordering as CmpOrdering;
@@ -208,6 +208,36 @@ impl FaultLayer {
     }
 }
 
+/// A shard's telemetry for one pass: events stamped from the loop's
+/// clock as they happen, handed to the hub in one locked batch before
+/// the pass delivers its completions (see [`ShardLoop::run`]).
+pub(crate) struct PassEvents {
+    hub: Arc<TelemetryHub>,
+    queued: Vec<Event>,
+}
+
+impl PassEvents {
+    pub(crate) fn new(hub: Arc<TelemetryHub>) -> PassEvents {
+        PassEvents {
+            hub,
+            queued: Vec::new(),
+        }
+    }
+
+    /// Queues one event that happened at `at`; nothing when the hub is
+    /// disabled.
+    fn emit(&mut self, at: Instant, kind: TelemetryEvent) {
+        if self.hub.is_enabled() {
+            self.queued.push(self.hub.event_at(at, 0, kind));
+        }
+    }
+
+    /// Pushes the pass's events to the hub, in the order they happened.
+    fn flush(&mut self) {
+        self.hub.emit_all(&mut self.queued);
+    }
+}
+
 /// One shard's event loop. Everything here is owned by the loop thread;
 /// the `Arc`s cross threads only for submission (`ring`, plus the
 /// poller's [`cde_sysio::Waker`]), control (`shutdown`, `drain`,
@@ -234,8 +264,14 @@ pub(crate) struct ShardLoop {
     pub(crate) limiter: Option<Arc<RateLimiter>>,
     pub(crate) rng: DetRng,
     pub(crate) start: Instant,
+    /// The loop's clock: its latest reading, taken at the start of each
+    /// pass and right after each send and receive batch returns. Every
+    /// per-probe time (send and admission stamps, RTT, timer ticks,
+    /// flight and telemetry times) derives from it, so the loop pays
+    /// for a clock read per batch, not per probe.
+    pub(crate) now: Instant,
     pub(crate) block: Arc<MetricsBlock>,
-    pub(crate) telemetry: Arc<TelemetryHub>,
+    pub(crate) telemetry: PassEvents,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) drain: Arc<AtomicBool>,
     pub(crate) faults: Option<FaultLayer>,
@@ -258,6 +294,13 @@ pub(crate) struct ShardLoop {
 /// module, so the reactor's launch code sizes it through here).
 pub(crate) fn empty_slots(max_in_flight: usize) -> Vec<Option<Pending>> {
     (0..max_in_flight).map(|_| None).collect()
+}
+
+/// Whole microseconds from `from` to `to`; 0 when `to` is earlier.
+fn micros_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from)
+        .as_micros()
+        .min(u128::from(u64::MAX)) as u64
 }
 
 /// Attempts-made for a flight record from a zero-based attempt index.
@@ -293,11 +336,15 @@ impl ShardLoop {
     pub(crate) fn run(mut self) {
         while !self.shutdown.load(Ordering::SeqCst) {
             let iter_start = Instant::now();
+            self.now = iter_start;
             let mut progress = self.admit();
             progress |= self.fire_timers();
             progress |= self.send_ready();
             progress |= self.receive();
             progress |= self.release_delayed();
+            // Telemetry first: a submitter that sees its completion
+            // finds the probe's events already in the hub.
+            self.telemetry.flush();
             self.flush_completions();
             self.block.set_wheel_pending(self.timers.len() as u64);
             self.block.set_ring_depth(self.ring.len() as u64);
@@ -318,11 +365,12 @@ impl ShardLoop {
         self.exited.store(true, Ordering::SeqCst);
     }
 
-    /// The timer wheel's clock: whole milliseconds since `start`.
-    /// Deadlines and backoffs are millisecond-scale, so a 1 ms tick
-    /// wastes no precision the wire could deliver.
+    /// The timer wheel's clock at the loop's latest reading: whole
+    /// milliseconds since `start`. Deadlines and backoffs are
+    /// millisecond-scale, so a 1 ms tick wastes no precision the wire
+    /// could deliver.
     fn now_tick(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+        self.now.saturating_duration_since(self.start).as_millis() as u64
     }
 
     fn ticks(d: Duration) -> u64 {
@@ -393,7 +441,7 @@ impl ShardLoop {
             // No route to this ingress — indistinguishable from loss.
             _ => {
                 if let Some(ring) = &self.flight {
-                    let now_us = ring.now_us();
+                    let now_us = ring.instant_us(self.now);
                     self.flight_write(
                         ring,
                         &FlightRecord {
@@ -414,7 +462,7 @@ impl ShardLoop {
                 }
                 self.block.record_timeout();
                 self.telemetry.emit(
-                    0,
+                    self.now,
                     TelemetryEvent::ProbeTimedOut {
                         token: sub.token,
                         attempts: 0,
@@ -441,8 +489,8 @@ impl ShardLoop {
             socket: usize::MAX,
             id: 0,
             attempt: 0,
-            sent_at: Instant::now(),
-            admitted_at: Instant::now(),
+            sent_at: self.now,
+            admitted_at: self.now,
             queue_us: u64::MAX,
             last_rto_us: 0,
             state: PendingState::Scheduled,
@@ -499,7 +547,7 @@ impl ShardLoop {
                     if attempt + 1 >= self.policy.attempts.max(1) {
                         self.block.record_timeout();
                         self.telemetry.emit(
-                            0,
+                            self.now,
                             TelemetryEvent::ProbeTimedOut {
                                 token: p.token,
                                 attempts: attempt + 1,
@@ -512,7 +560,7 @@ impl ShardLoop {
                         p.state = PendingState::Scheduled;
                         self.block.record_retry();
                         self.telemetry.emit(
-                            0,
+                            self.now,
                             TelemetryEvent::ProbeRetried {
                                 token: p.token,
                                 attempt: attempt + 1,
@@ -594,6 +642,7 @@ impl ShardLoop {
                 self.phase_end(Phase::SendBatch, t_send);
                 sent
             };
+            self.now = Instant::now();
             let now_tick = self.now_tick();
             match outcome {
                 Ok(sent) => {
@@ -605,18 +654,13 @@ impl ShardLoop {
                         if i < sent {
                             let p = self.slots[slot].as_mut().expect("ready slot occupied");
                             p.state = PendingState::Waiting;
-                            p.sent_at = Instant::now();
+                            p.sent_at = self.now;
                             if p.queue_us == u64::MAX {
-                                p.queue_us = p
-                                    .admitted_at
-                                    .elapsed()
-                                    .as_micros()
-                                    .min(u128::from(u64::MAX))
-                                    as u64;
+                                p.queue_us = micros_between(p.admitted_at, self.now);
                             }
                             self.block.record_sent();
                             self.telemetry.emit(
-                                0,
+                                self.now,
                                 TelemetryEvent::ProbeSent {
                                     token: p.token,
                                     attempt: p.attempt,
@@ -698,6 +742,7 @@ impl ShardLoop {
                 if got == 0 {
                     break;
                 }
+                self.now = Instant::now();
                 progress = true;
                 // A coalesced run is many replies from one source; each
                 // is checked and correlated on its own.
@@ -724,7 +769,10 @@ impl ShardLoop {
     /// (a synthesized answer queued inbound), or delivered — possibly
     /// delayed, duplicated or truncated.
     fn emit_faulty(&mut self, layer: &mut FaultLayer, socket_idx: usize, slot: usize) {
-        let now = self.start.elapsed();
+        // The fault layer reads the clock per datagram, into the loop's
+        // clock so the shard's stamps stay monotone.
+        self.now = Instant::now();
+        let now = self.now.saturating_duration_since(self.start);
         let now_tick = self.now_tick();
         let p = self.slots[slot].as_ref().expect("ready slot occupied");
         match layer
@@ -745,7 +793,7 @@ impl ShardLoop {
             // stayed cold. Forensics joins it back by token.
             Verdict::Drop(_) => {
                 if let Some(ring) = &self.flight {
-                    let now_us = ring.now_us();
+                    let now_us = ring.instant_us(self.now);
                     self.flight_write(
                         ring,
                         &FlightRecord {
@@ -788,7 +836,8 @@ impl ShardLoop {
     /// copies queue up (late duplicates then land as strays — exactly
     /// the taxonomy a chaotic wire produces).
     fn receive_faulty(&mut self, socket_idx: usize, bytes: &[u8], from: SocketAddrV4) {
-        let now = self.start.elapsed();
+        self.now = Instant::now();
+        let now = self.now.saturating_duration_since(self.start);
         let now_tick = self.now_tick();
         let mut immediate = 0u32;
         {
@@ -810,7 +859,7 @@ impl ShardLoop {
                             .and_then(|slot| self.slots[slot].as_ref())
                             .map(|p| (p.token, p.ingress, attempts_made(p.attempt)))
                             .unwrap_or((FlightRecord::NO_TOKEN, *from.ip(), 0));
-                        let now_us = ring.now_us();
+                        let now_us = ring.instant_us(self.now);
                         let rec = FlightRecord {
                             token,
                             ingress,
@@ -861,6 +910,8 @@ impl ShardLoop {
             return false;
         }
         let mut layer = self.faults.take().expect("checked is_none");
+        // A released reply's RTT runs to its release.
+        self.now = Instant::now();
         let now_tick = self.now_tick();
         let mut progress = false;
         while layer.delayed_out.peek().is_some_and(|d| d.due <= now_tick) {
@@ -897,7 +948,7 @@ impl ShardLoop {
             // somehow landed on a socket whose shard never sent the
             // probe (correlation is strictly shard-local).
             if let Some(ring) = &self.flight {
-                let now_us = ring.now_us();
+                let now_us = ring.instant_us(self.now);
                 self.flight_write(
                     ring,
                     &FlightRecord {
@@ -918,7 +969,7 @@ impl ShardLoop {
             }
             self.block.record_stray_reply();
             self.telemetry.emit(
-                0,
+                self.now,
                 TelemetryEvent::ReplyDropped {
                     reason: DropReason::Stray,
                 },
@@ -932,7 +983,7 @@ impl ShardLoop {
             // the genuine answer.
             self.block.record_spoofed_reply();
             self.telemetry.emit(
-                0,
+                self.now,
                 TelemetryEvent::ReplyDropped {
                     reason: DropReason::Spoofed,
                 },
@@ -946,7 +997,7 @@ impl ShardLoop {
                 // Id collision: someone else's answer hashed onto our id.
                 self.block.record_qname_mismatch();
                 self.telemetry.emit(
-                    0,
+                    self.now,
                     TelemetryEvent::ReplyDropped {
                         reason: DropReason::Duplicate,
                     },
@@ -961,7 +1012,9 @@ impl ShardLoop {
             }
         }
         self.phase_end(Phase::Correlate, t_correlate);
-        let rtt = p.sent_at.elapsed();
+        // From the return of the send batch that carried the query to
+        // the return of the receive call that carried the reply.
+        let rtt = self.now.saturating_duration_since(p.sent_at);
         let rtt_us = rtt.as_micros().min(u128::from(u64::MAX)) as u64;
         // A reply arriving after a retransmit can belong to *either*
         // attempt; its last-send RTT is untrustworthy for timing
@@ -984,7 +1037,7 @@ impl ShardLoop {
                 .record(p.ingress, rtt_us, retransmit_ambiguous);
         }
         self.telemetry.emit(
-            0,
+            self.now,
             TelemetryEvent::ProbeMatched {
                 token: p.token,
                 attempt: p.attempt,
@@ -1014,7 +1067,7 @@ impl ShardLoop {
         }
         self.correlation.remove(&(p.socket, p.id));
         if let Some(ring) = self.flight.as_ref().map(Arc::clone) {
-            let now_us = ring.now_us();
+            let now_us = ring.instant_us(self.now);
             let disposition = match &reply {
                 TransportReply::Answered { rcode, .. } => {
                     if *rcode == cde_dns::Rcode::Refused {
@@ -1082,11 +1135,7 @@ impl ShardLoop {
                 } else {
                     p.queue_us
                 },
-                lifetime_us: p
-                    .admitted_at
-                    .elapsed()
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64,
+                lifetime_us: micros_between(p.admitted_at, self.now),
                 answered: matches!(reply, TransportReply::Answered { .. }),
             });
         }
@@ -1273,8 +1322,9 @@ mod tests {
             limiter: None,
             rng: DetRng::seed(1),
             start: Instant::now(),
+            now: Instant::now(),
             block: Arc::new(MetricsBlock::new()),
-            telemetry: TelemetryHub::disabled(),
+            telemetry: PassEvents::new(TelemetryHub::disabled()),
             shutdown: Arc::new(AtomicBool::new(false)),
             drain: Arc::new(AtomicBool::new(false)),
             faults: None,

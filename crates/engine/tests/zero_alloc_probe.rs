@@ -1,6 +1,7 @@
 //! The probe hot path touches the heap zero times once warm: a
-//! reusable-writer query encode plus a peek decode of the reply, and a
-//! timer-wheel round of schedule / cancel / cascading advance.
+//! reusable-writer query encode plus a peek decode of the reply, a
+//! timer-wheel round of schedule / cancel / cascading advance, and a
+//! shard pass's batched telemetry push.
 //!
 //! Allocations are counted per thread, so libtest's other threads (and
 //! the other tests of this file running beside one) cannot move a test's
@@ -9,6 +10,7 @@
 use cde_dns::wire::WireWriter;
 use cde_dns::{Message, MessagePeek, Name, Question, RData, Record, RecordType, Ttl};
 use cde_engine::{TimerKey, TimerWheel};
+use cde_telemetry::{EventKind, TelemetryHub};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -136,4 +138,37 @@ fn a_warm_timer_wheel_round_allocates_nothing() {
         allocated, 0,
         "a warm timer wheel must not touch the heap to schedule, cancel or cascade"
     );
+}
+
+/// A shard pass's telemetry: 128 events stamped from one clock reading
+/// into a reused buffer, pushed in one `emit_all`. Once the buffer has
+/// grown, a push into a ring with room must not allocate.
+#[test]
+fn a_warm_pass_of_telemetry_allocates_nothing() {
+    const PASS: u64 = 128;
+    let hub = TelemetryHub::new(4 * PASS as usize);
+    let mut pass = Vec::new();
+    let mut drained = Vec::with_capacity(4 * PASS as usize);
+    let emit_pass = |pass: &mut Vec<_>| {
+        let at = std::time::Instant::now();
+        for token in 0..PASS {
+            pass.push(hub.event_at(at, 0, EventKind::ProbeSent { token, attempt: 0 }));
+        }
+        hub.emit_all(pass);
+    };
+    emit_pass(&mut pass);
+    hub.drain_into(&mut drained);
+    drained.clear();
+
+    let allocated = allocations_in(|| {
+        for _ in 0..3 {
+            emit_pass(black_box(&mut pass));
+        }
+    });
+    assert_eq!(
+        allocated, 0,
+        "a warm pass's telemetry push must not touch the heap"
+    );
+    assert_eq!(hub.queued(), 3 * PASS as usize);
+    assert_eq!(hub.dropped(), 0);
 }

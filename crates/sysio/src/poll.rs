@@ -263,6 +263,10 @@ impl Poller {
         timeout: Option<Duration>,
         has_work: impl FnOnce() -> bool,
     ) -> Option<Wake> {
+        // Stamped before `sleeping` is published: from there on a wake
+        // may land (even inside `has_work`) and end the wait it belongs
+        // to, so its stamp must not read as older than the wait.
+        let entered = self.shared.now_nanos();
         self.shared.sleeping.store(true, Ordering::SeqCst);
         if has_work() {
             self.shared.sleeping.store(false, Ordering::SeqCst);
@@ -271,7 +275,6 @@ impl Poller {
             self.forget_readiness();
             return None;
         }
-        let entered = self.shared.now_nanos();
         self.block(timeout);
         self.shared.sleeping.store(false, Ordering::SeqCst);
         // A wake stamped before this wait began raced one that was
@@ -691,6 +694,27 @@ mod tests {
             // The waker alone ended it: there is no socket to read.
             assert_eq!(poller.ready(0), !native(fallback));
             producer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn wake_landing_during_the_work_check_carries_wake_latency() {
+        for fallback in BACKENDS {
+            let (mut poller, _peer, _addr) = poller(fallback);
+            let waker = poller.waker();
+            // The wake lands after the loop published itself as sleeping
+            // and before it blocks, and there is no work to skip for: it
+            // is what ends this very wait.
+            let start = Instant::now();
+            let wake = poller
+                .wait(Some(Duration::from_secs(5)), || {
+                    waker.wake();
+                    false
+                })
+                .expect("no queued work: the wait is entered");
+            assert!(start.elapsed() < Duration::from_secs(1));
+            let latency = wake.wake_latency.expect("ended by a wake, not a timeout");
+            assert!(latency < Duration::from_secs(1), "latency {latency:?}");
         }
     }
 

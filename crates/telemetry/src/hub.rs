@@ -71,11 +71,34 @@ impl TelemetryHub {
         if !self.enabled {
             return;
         }
-        self.ring.push(Event {
-            at_us: self.now_us(),
+        self.ring
+            .push(self.event_at(Instant::now(), campaign, kind));
+    }
+
+    /// An event stamped at `at` on this hub's time base, for an emitter
+    /// that reads the clock once for many events and hands them over in
+    /// one [`emit_all`](Self::emit_all). An `at` before the epoch reads
+    /// as 0.
+    pub fn event_at(&self, at: Instant, campaign: u32, kind: EventKind) -> Event {
+        Event {
+            at_us: at
+                .saturating_duration_since(self.epoch)
+                .as_micros()
+                .min(u128::from(u64::MAX)) as u64,
             campaign,
             kind,
-        });
+        }
+    }
+
+    /// Emits every event of `events`, in order, under one lock of the
+    /// ring, and leaves `events` empty for reuse. Same drop-oldest
+    /// accounting as [`emit`](Self::emit); never blocks on the drain.
+    pub fn emit_all(&self, events: &mut Vec<Event>) {
+        if self.enabled {
+            self.ring.push_all(events);
+        } else {
+            events.clear();
+        }
     }
 
     /// Opens a campaign span: emits `campaign_begin` and returns the span
@@ -370,6 +393,45 @@ mod tests {
         drop(span);
         assert_eq!(hub.emitted(), 0);
         assert!(hub.drain().is_empty());
+    }
+
+    #[test]
+    fn emit_all_stamps_on_the_hub_time_base() {
+        let hub = TelemetryHub::new(8);
+        let at = Instant::now();
+        let mut batch = vec![
+            hub.event_at(
+                at,
+                0,
+                EventKind::ProbeSent {
+                    token: 1,
+                    attempt: 0,
+                },
+            ),
+            hub.event_at(
+                at + std::time::Duration::from_micros(250),
+                3,
+                EventKind::ProbePlanned { token: 2 },
+            ),
+        ];
+        hub.emit_all(&mut batch);
+        assert!(batch.is_empty());
+        let events = hub.drain();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[1].at_us - events[0].at_us, 250);
+        assert_eq!(events[1].campaign, 3);
+        assert!(events[0].at_us <= hub.now_us());
+        // Before the epoch reads as the epoch.
+        if let Some(before) = hub.epoch.checked_sub(std::time::Duration::from_millis(1)) {
+            let early = hub.event_at(before, 0, EventKind::ProbePlanned { token: 3 });
+            assert_eq!(early.at_us, 0);
+        }
+
+        let quiet = TelemetryHub::disabled();
+        let mut batch = vec![quiet.event_at(at, 0, EventKind::ProbePlanned { token: 4 })];
+        quiet.emit_all(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(quiet.emitted(), 0);
     }
 
     #[test]

@@ -54,6 +54,27 @@ impl EventRing {
         self.emitted.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Pushes every event of `events`, in order, under one lock, and
+    /// leaves `events` empty with its capacity kept for reuse. Sheds
+    /// exactly as that many [`push`](Self::push)es would: the oldest
+    /// queued events first, and of a batch larger than the ring, its
+    /// own oldest, which are counted shed without ever being queued.
+    pub fn push_all(&self, events: &mut Vec<Event>) {
+        let n = events.len();
+        if n == 0 {
+            return;
+        }
+        let unqueued = n.saturating_sub(self.capacity);
+        let mut queue = self.queue.lock();
+        let evicted = (queue.len() + n - unqueued).saturating_sub(self.capacity);
+        queue.drain(..evicted);
+        queue.extend(events.drain(unqueued..));
+        events.clear();
+        self.dropped
+            .fetch_add((unqueued + evicted) as u64, Ordering::Relaxed);
+        self.emitted.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
     /// Moves every queued event into `out`, oldest first.
     pub fn drain_into(&self, out: &mut Vec<Event>) {
         let mut queue = self.queue.lock();
@@ -134,6 +155,76 @@ mod tests {
             ring.emitted(),
             out.len() as u64 + ring.dropped() + ring.len() as u64
         );
+    }
+
+    fn tokens(ring: &EventRing) -> Vec<u64> {
+        let mut out = Vec::new();
+        ring.drain_into(&mut out);
+        out.iter().map(|e| e.at_us).collect()
+    }
+
+    #[test]
+    fn push_all_keeps_order_and_empties_the_batch() {
+        let ring = EventRing::new(16);
+        ring.push(ev(0));
+        let mut batch: Vec<Event> = (1..6).map(ev).collect();
+        let capacity = batch.capacity();
+        ring.push_all(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(batch.capacity(), capacity, "the batch is reused, not freed");
+        ring.push(ev(6));
+        assert_eq!(tokens(&ring), (0..7).collect::<Vec<_>>());
+        assert_eq!((ring.emitted(), ring.dropped()), (7, 0));
+        // An empty batch is no push at all.
+        ring.push_all(&mut batch);
+        assert_eq!(ring.emitted(), 7);
+    }
+
+    #[test]
+    fn push_all_sheds_exactly_what_single_pushes_would() {
+        for (queued, batch, capacity) in [(2, 3, 4), (3, 9, 4), (0, 4, 4), (4, 1, 4), (1, 12, 5)] {
+            let single = EventRing::new(capacity);
+            let batched = EventRing::new(capacity);
+            for t in 0..queued {
+                single.push(ev(t));
+                batched.push(ev(t));
+            }
+            let mut events: Vec<Event> = (queued..queued + batch).map(ev).collect();
+            for &e in &events {
+                single.push(e);
+            }
+            batched.push_all(&mut events);
+            assert_eq!(
+                (batched.emitted(), batched.dropped(), batched.len()),
+                (single.emitted(), single.dropped(), single.len()),
+                "{queued} queued + {batch} into {capacity}"
+            );
+            let kept = tokens(&batched);
+            // The newest survive, in order: the oldest were shed.
+            let newest: Vec<u64> = (0..queued + batch)
+                .skip((queued + batch).saturating_sub(capacity as u64) as usize)
+                .collect();
+            assert_eq!(kept, newest);
+            assert_eq!(kept, tokens(&single));
+            assert_eq!(
+                batched.emitted(),
+                kept.len() as u64 + batched.len() as u64 + batched.dropped()
+            );
+        }
+    }
+
+    #[test]
+    fn push_all_losses_are_reported_once() {
+        let ring = EventRing::new(2);
+        let mut batch: Vec<Event> = (0..5).map(ev).collect();
+        ring.push_all(&mut batch);
+        assert_eq!(ring.take_dropped(), 3);
+        assert_eq!(ring.take_dropped(), 0);
+        batch.extend((5..7).map(ev));
+        ring.push_all(&mut batch);
+        assert_eq!(ring.take_dropped(), 2);
+        assert_eq!(ring.take_dropped(), 0);
+        assert_eq!(tokens(&ring), vec![5, 6]);
     }
 
     #[test]

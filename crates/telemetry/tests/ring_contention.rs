@@ -86,6 +86,106 @@ fn concurrent_emitters_never_block_and_drops_are_exact() {
     assert_eq!(shed_reported, hub.dropped());
 }
 
+/// Reactor shards push a pass's events in one `emit_all` while other
+/// threads emit one at a time: the batched pushes must shed and account
+/// exactly like single ones, and keep each emitter's own order.
+#[test]
+fn batched_and_single_emitters_account_exactly_and_keep_order() {
+    const BATCHES: u64 = 400;
+    let hub = TelemetryHub::new(RING_CAPACITY);
+    // Batch sizes cycle 1 … 700, so some batches are larger than the
+    // ring itself and shed part of their own head.
+    let batch_len = |b: u64| 1 + (b * 37) % 700;
+    let batched_total: u64 = (0..BATCHES).map(batch_len).sum();
+    let emitters_done = Arc::new(AtomicBool::new(false));
+
+    let drainer = {
+        let hub = Arc::clone(&hub);
+        let emitters_done = Arc::clone(&emitters_done);
+        thread::spawn(move || {
+            let (mut drained, mut shed_reported) = (0u64, 0u64);
+            // Per emitter, the lowest sequence number the next event
+            // may carry: order check.
+            let mut next = [0u64; 3];
+            let mut tally = |events: Vec<cde_telemetry::Event>| {
+                for ev in events {
+                    match ev.kind {
+                        EventKind::EventsDropped { count } => shed_reported += count,
+                        EventKind::ProbeSent { token, attempt } => {
+                            let emitter = attempt as usize;
+                            assert!(
+                                token >= next[emitter],
+                                "emitter {emitter} reordered: {token} after {}",
+                                next[emitter] - 1
+                            );
+                            next[emitter] = token + 1;
+                            drained += 1;
+                        }
+                        ref other => panic!("unexpected {other:?}"),
+                    }
+                }
+            };
+            loop {
+                tally(hub.drain());
+                if emitters_done.load(Ordering::Acquire) {
+                    tally(hub.drain());
+                    return (drained, shed_reported);
+                }
+                thread::sleep(Duration::from_millis(2));
+            }
+        })
+    };
+
+    // Emitter 0 batches; emitters 1 and 2 emit one event at a time. The
+    // emitter rides in `attempt`, its sequence number in `token`.
+    let batched = {
+        let hub = Arc::clone(&hub);
+        thread::spawn(move || {
+            let mut pass = Vec::new();
+            let mut seq = 0u64;
+            for b in 0..BATCHES {
+                let at = std::time::Instant::now();
+                for _ in 0..batch_len(b) {
+                    pass.push(hub.event_at(
+                        at,
+                        0,
+                        EventKind::ProbeSent {
+                            token: seq,
+                            attempt: 0,
+                        },
+                    ));
+                    seq += 1;
+                }
+                hub.emit_all(&mut pass);
+                assert!(pass.is_empty());
+            }
+        })
+    };
+    let singles: Vec<_> = (1..=2u32)
+        .map(|e| {
+            let hub = Arc::clone(&hub);
+            thread::spawn(move || {
+                for token in 0..PER_EMITTER {
+                    hub.emit(0, EventKind::ProbeSent { token, attempt: e });
+                }
+            })
+        })
+        .collect();
+    batched.join().unwrap();
+    for h in singles {
+        h.join().unwrap();
+    }
+    emitters_done.store(true, Ordering::Release);
+    let (drained, shed_reported) = drainer.join().unwrap();
+
+    let total = batched_total + 2 * PER_EMITTER;
+    assert_eq!(hub.emitted(), total);
+    assert_eq!(hub.queued(), 0);
+    assert!(hub.dropped() > 0, "the ring never overflowed");
+    assert_eq!(drained + hub.dropped(), total);
+    assert_eq!(shed_reported, hub.dropped());
+}
+
 #[test]
 fn burst_then_drain_accounts_without_a_consumer_thread() {
     // Single-threaded worst case: nobody drains during the burst.
