@@ -252,16 +252,14 @@ impl Daemon {
         self.pulse.observe_shards(stats);
     }
 
+    /// Drains the hub into the JSONL file. With no file nobody reads the
+    /// rendering, so the events are only drained and counted.
     fn drain_telemetry(&mut self) -> io::Result<()> {
+        let jsonl = self.jsonl.as_mut().map(|f| f as &mut dyn io::Write);
+        self.hub.drain_chunks(jsonl, |_| {})?;
         match &mut self.jsonl {
-            Some(file) => {
-                self.hub.drain_jsonl(file)?;
-                file.flush()
-            }
-            None => {
-                self.hub.drain_jsonl(&mut io::sink())?;
-                Ok(())
-            }
+            Some(file) => file.flush(),
+            None => Ok(()),
         }
     }
 
@@ -316,5 +314,39 @@ impl Daemon {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cde_telemetry::EventKind;
+
+    #[test]
+    fn a_drain_without_a_jsonl_file_keeps_the_totals() {
+        let dir = std::env::temp_dir().join(format!("cde-serve-drain-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut daemon = Daemon::start(DaemonConfig {
+            checkpoint_dir: dir.clone(),
+            ..DaemonConfig::default()
+        })
+        .expect("daemon starts");
+        let hub = Arc::clone(&daemon.hub);
+        let before = hub.emitted();
+        let burst = cde_telemetry::DEFAULT_RING_CAPACITY as u64 + 70;
+        for token in 0..burst {
+            hub.emit(0, EventKind::ProbePlanned { token });
+        }
+        daemon.drain_telemetry().expect("drain");
+        assert_eq!(hub.emitted(), before + burst);
+        assert_eq!(hub.dropped(), 70);
+        assert_eq!(hub.queued(), 0);
+        // The loss was taken by that drain: the next one has no record.
+        assert!(hub
+            .drain()
+            .iter()
+            .all(|ev| !matches!(ev.kind, EventKind::EventsDropped { .. })));
+        drop(daemon);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -6,7 +6,6 @@
 //! str` for the same reason.
 
 use crate::json;
-use std::fmt::Write;
 
 /// Why the engine discarded a well-formed reply instead of matching it
 /// to an outstanding probe. Mirrors the reactor's correlation checks.
@@ -170,19 +169,24 @@ pub struct Event {
 }
 
 impl Event {
-    /// Appends this event to `out` as one JSONL line (newline included).
-    pub fn write_jsonl(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"at_us\": {}, \"campaign\": {}, \"kind\": ",
-            self.at_us, self.campaign
-        );
-        json::write_str(out, self.kind.name());
+    /// Appends this event to `out` — a `String`, or the byte buffer a
+    /// drain writes out — as one JSONL line (newline included).
+    ///
+    /// Each key, and each kind's name with the key before it, is one
+    /// literal piece; numbers and strings go through [`json`]'s
+    /// `core::fmt`-free writers. A kind's literal must spell
+    /// [`EventKind::name`].
+    pub fn write_jsonl(&self, out: &mut impl json::Text) {
+        out.push_str("{\"at_us\": ");
+        json::write_u64(out, self.at_us);
+        out.push_str(", \"campaign\": ");
+        json::write_u64(out, u64::from(self.campaign));
         match self.kind {
             EventKind::CampaignBegin { name, planned } => {
-                out.push_str(", \"name\": ");
+                out.push_str(", \"kind\": \"campaign_begin\", \"name\": ");
                 json::write_str(out, name);
-                let _ = write!(out, ", \"planned\": {planned}");
+                out.push_str(", \"planned\": ");
+                json::write_u64(out, planned);
             }
             EventKind::CampaignProgress {
                 submitted,
@@ -190,19 +194,23 @@ impl Event {
                 answered,
                 in_flight,
             } => {
-                let _ = write!(
-                    out,
-                    ", \"submitted\": {submitted}, \"completed\": {completed}, \
-                     \"answered\": {answered}, \"in_flight\": {in_flight}"
-                );
+                out.push_str(", \"kind\": \"campaign_progress\", \"submitted\": ");
+                json::write_u64(out, submitted);
+                out.push_str(", \"completed\": ");
+                json::write_u64(out, completed);
+                out.push_str(", \"answered\": ");
+                json::write_u64(out, answered);
+                out.push_str(", \"in_flight\": ");
+                json::write_u64(out, in_flight);
             }
             EventKind::CampaignNote { key, value } => {
-                out.push_str(", \"key\": ");
+                out.push_str(", \"kind\": \"campaign_note\", \"key\": ");
                 json::write_str(out, key);
-                let _ = write!(out, ", \"value\": {value}");
+                out.push_str(", \"value\": ");
+                json::write_u64(out, value);
             }
             EventKind::CampaignTenant { tenant } => {
-                out.push_str(", \"tenant\": ");
+                out.push_str(", \"kind\": \"campaign_tenant\", \"tenant\": ");
                 json::write_str(out, tenant);
             }
             EventKind::CampaignEnd {
@@ -210,18 +218,24 @@ impl Event {
                 answered,
                 timeouts,
             } => {
-                let _ = write!(
-                    out,
-                    ", \"completed\": {completed}, \"answered\": {answered}, \
-                     \"timeouts\": {timeouts}"
-                );
+                out.push_str(", \"kind\": \"campaign_end\", \"completed\": ");
+                json::write_u64(out, completed);
+                out.push_str(", \"answered\": ");
+                json::write_u64(out, answered);
+                out.push_str(", \"timeouts\": ");
+                json::write_u64(out, timeouts);
             }
             EventKind::ProbePlanned { token } => {
-                let _ = write!(out, ", \"token\": {token}");
+                out.push_str(", \"kind\": \"probe_planned\", \"token\": ");
+                json::write_u64(out, token);
             }
-            EventKind::ProbeSent { token, attempt }
-            | EventKind::ProbeRetried { token, attempt } => {
-                let _ = write!(out, ", \"token\": {token}, \"attempt\": {attempt}");
+            EventKind::ProbeSent { token, attempt } => {
+                out.push_str(", \"kind\": \"probe_sent\", \"token\": ");
+                write_token_attempt(out, token, attempt);
+            }
+            EventKind::ProbeRetried { token, attempt } => {
+                out.push_str(", \"kind\": \"probe_retried\", \"token\": ");
+                write_token_attempt(out, token, attempt);
             }
             EventKind::ProbeMatched {
                 token,
@@ -229,25 +243,40 @@ impl Event {
                 rtt_us,
                 retransmit_ambiguous,
             } => {
-                let _ = write!(
-                    out,
-                    ", \"token\": {token}, \"attempt\": {attempt}, \"rtt_us\": {rtt_us}, \
-                     \"retransmit_ambiguous\": {retransmit_ambiguous}"
-                );
+                out.push_str(", \"kind\": \"probe_matched\", \"token\": ");
+                write_token_attempt(out, token, attempt);
+                out.push_str(", \"rtt_us\": ");
+                json::write_u64(out, rtt_us);
+                out.push_str(if retransmit_ambiguous {
+                    ", \"retransmit_ambiguous\": true"
+                } else {
+                    ", \"retransmit_ambiguous\": false"
+                });
             }
             EventKind::ProbeTimedOut { token, attempts } => {
-                let _ = write!(out, ", \"token\": {token}, \"attempts\": {attempts}");
+                out.push_str(", \"kind\": \"probe_timed_out\", \"token\": ");
+                json::write_u64(out, token);
+                out.push_str(", \"attempts\": ");
+                json::write_u64(out, u64::from(attempts));
             }
             EventKind::ReplyDropped { reason } => {
-                out.push_str(", \"reason\": ");
+                out.push_str(", \"kind\": \"reply_dropped\", \"reason\": ");
                 json::write_str(out, reason.as_str());
             }
             EventKind::EventsDropped { count } => {
-                let _ = write!(out, ", \"count\": {count}");
+                out.push_str(", \"kind\": \"events_dropped\", \"count\": ");
+                json::write_u64(out, count);
             }
         }
         out.push_str("}\n");
     }
+}
+
+/// `N, "attempt": M` — the tail the probe kinds share after `"token": `.
+fn write_token_attempt(out: &mut impl json::Text, token: u64, attempt: u32) {
+    json::write_u64(out, token);
+    out.push_str(", \"attempt\": ");
+    json::write_u64(out, u64::from(attempt));
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 
 use crate::event::{Event, EventKind};
 use crate::registry::{Collector, Metric};
-use crate::ring::EventRing;
-use parking_lot::RwLock;
+use crate::ring::{EventRing, DRAIN_CHUNK};
+use parking_lot::{Mutex, RwLock};
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -29,6 +29,8 @@ pub const DEFAULT_RING_CAPACITY: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct TelemetryHub {
     ring: EventRing,
+    /// The drain's reused buffers; only drainers take this lock.
+    drain: Mutex<DrainBuffers>,
     epoch: Instant,
     enabled: bool,
     next_campaign: AtomicU32,
@@ -39,6 +41,7 @@ impl TelemetryHub {
     pub fn new(capacity: usize) -> Arc<TelemetryHub> {
         Arc::new(TelemetryHub {
             ring: EventRing::new(capacity),
+            drain: Mutex::new(DrainBuffers::default()),
             epoch: Instant::now(),
             enabled: true,
             next_campaign: AtomicU32::new(1),
@@ -49,6 +52,7 @@ impl TelemetryHub {
     pub fn disabled() -> Arc<TelemetryHub> {
         Arc::new(TelemetryHub {
             ring: EventRing::new(1),
+            drain: Mutex::new(DrainBuffers::default()),
             epoch: Instant::now(),
             enabled: false,
             next_campaign: AtomicU32::new(1),
@@ -116,19 +120,74 @@ impl TelemetryHub {
         }
     }
 
-    /// Drains queued events (oldest first) into `out`. If events were
-    /// shed since the previous drain, an [`EventKind::EventsDropped`]
-    /// record is appended so the stream itself shows the loss.
-    pub fn drain_into(&self, out: &mut Vec<Event>) {
-        self.ring.drain_into(out);
+    /// The one drain loop behind every drain of this hub. Moves queued
+    /// events out oldest first, at most [`DRAIN_CHUNK`] per ring lock,
+    /// into a buffer the hub reuses, and hands each chunk to `each`; with
+    /// a `jsonl` writer it also renders the chunk into a reused text
+    /// buffer and writes it there, before it takes the next chunk. If
+    /// events were shed since the previous drain, one
+    /// [`EventKind::EventsDropped`] record follows as a last chunk of its
+    /// own, so the stream itself shows the loss.
+    ///
+    /// Emitters wait at most for one chunk's move, never for rendering
+    /// or I/O. A drain holds one chunk and its rendering, whatever the
+    /// interval between drains, and a warm one allocates nothing. It
+    /// stops after about the ring's capacity of events, so emitters
+    /// outpacing it cannot keep it going: the rest waits for the next.
+    /// Drains of one hub run one at a time (`each` must not drain this
+    /// hub again). Returns the events handed over, the loss record
+    /// included. On a write error the chunk being written is lost and
+    /// the events behind it stay queued.
+    pub fn drain_chunks(
+        &self,
+        mut jsonl: Option<&mut dyn io::Write>,
+        mut each: impl FnMut(&[Event]),
+    ) -> io::Result<usize> {
+        let mut buffers = self.drain.lock();
+        let DrainBuffers { chunk, text } = &mut *buffers;
+        let mut hand_over = |chunk: &[Event]| -> io::Result<()> {
+            each(chunk);
+            if let Some(w) = jsonl.as_mut() {
+                text.clear();
+                for ev in chunk {
+                    ev.write_jsonl(text);
+                }
+                w.write_all(text)?;
+            }
+            Ok(())
+        };
+        let mut moved = 0;
+        loop {
+            chunk.clear();
+            let n = self.ring.drain_chunk(chunk);
+            if n == 0 {
+                break;
+            }
+            hand_over(chunk)?;
+            moved += n;
+            if n < DRAIN_CHUNK || moved >= self.ring.capacity() {
+                break;
+            }
+        }
         let shed = self.ring.take_dropped();
         if shed > 0 {
-            out.push(Event {
+            chunk.clear();
+            chunk.push(Event {
                 at_us: self.now_us(),
                 campaign: 0,
                 kind: EventKind::EventsDropped { count: shed },
             });
+            hand_over(chunk)?;
+            moved += 1;
         }
+        Ok(moved)
+    }
+
+    /// Drains queued events (oldest first) onto the end of `out`,
+    /// through [`drain_chunks`](Self::drain_chunks).
+    pub fn drain_into(&self, out: &mut Vec<Event>) {
+        self.drain_chunks(None, |chunk| out.extend_from_slice(chunk))
+            .expect("a drain without a writer does no I/O");
     }
 
     /// Drains queued events and returns them.
@@ -138,15 +197,11 @@ impl TelemetryHub {
         out
     }
 
-    /// Drains queued events as JSONL into `w`. Returns lines written.
+    /// Drains queued events as JSONL into `w`, one write per chunk,
+    /// through [`drain_chunks`](Self::drain_chunks). Returns lines
+    /// written.
     pub fn drain_jsonl<W: io::Write>(&self, w: &mut W) -> io::Result<usize> {
-        let events = self.drain();
-        let mut buf = String::new();
-        for ev in &events {
-            ev.write_jsonl(&mut buf);
-        }
-        w.write_all(buf.as_bytes())?;
-        Ok(events.len())
+        self.drain_chunks(Some(w), |_| {})
     }
 
     /// Total events emitted into this hub.
@@ -162,6 +217,23 @@ impl TelemetryHub {
     /// Events currently queued awaiting a drain.
     pub fn queued(&self) -> usize {
         self.ring.len()
+    }
+}
+
+/// What a drain reuses from one drain to the next: a chunk of events and
+/// its JSONL rendering.
+#[derive(Default)]
+struct DrainBuffers {
+    chunk: Vec<Event>,
+    text: Vec<u8>,
+}
+
+impl std::fmt::Debug for DrainBuffers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DrainBuffers")
+            .field("chunk_capacity", &self.chunk.capacity())
+            .field("text_capacity", &self.text.capacity())
+            .finish()
     }
 }
 
@@ -445,6 +517,53 @@ mod tests {
             EventKind::EventsDropped { count } => assert_eq!(count, 3),
             other => panic!("expected events_dropped, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_drain_hands_over_bounded_chunks_then_one_loss_record() {
+        let capacity = 3 * DRAIN_CHUNK + 40;
+        let hub = TelemetryHub::new(capacity);
+        for token in 0..capacity as u64 + 300 {
+            hub.emit(0, EventKind::ProbePlanned { token });
+        }
+        let mut chunks = Vec::new();
+        let mut last = None;
+        // No writer: nothing is rendered, the events are only counted.
+        let drained = hub
+            .drain_chunks(None, |chunk| {
+                chunks.push(chunk.len());
+                last = chunk.last().copied();
+            })
+            .unwrap();
+        assert_eq!(chunks, [DRAIN_CHUNK, DRAIN_CHUNK, DRAIN_CHUNK, 40, 1]);
+        assert_eq!(drained, capacity + 1);
+        assert!(matches!(
+            last.unwrap().kind,
+            EventKind::EventsDropped { count: 300 }
+        ));
+        assert_eq!((hub.emitted(), hub.dropped()), (capacity as u64 + 300, 300));
+        assert_eq!(hub.queued(), 0);
+        // The loss was reported once: the next drain is empty.
+        assert_eq!(hub.drain_chunks(None, |_| {}).unwrap(), 0);
+    }
+
+    #[test]
+    fn emitters_outpacing_a_drain_cannot_keep_it_going() {
+        let capacity = 4 * DRAIN_CHUNK;
+        let hub = TelemetryHub::new(capacity);
+        for token in 0..capacity as u64 {
+            hub.emit(0, EventKind::ProbePlanned { token });
+        }
+        // Every chunk handed over is replaced by as many new events.
+        let drained = hub
+            .drain_chunks(None, |chunk| {
+                for ev in chunk {
+                    hub.emit(0, ev.kind);
+                }
+            })
+            .unwrap();
+        assert_eq!(drained, capacity);
+        assert_eq!(hub.queued(), capacity);
     }
 
     #[test]

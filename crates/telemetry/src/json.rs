@@ -1,27 +1,111 @@
-//! Minimal JSON string escaping — the one piece of JSON machinery the
-//! exporters need. Numbers are formatted with Rust's shortest-roundtrip
-//! `Display`, which is already valid JSON.
+//! Minimal JSON writing — the pieces of JSON machinery the exporters
+//! need. Strings and unsigned integers are written without `core::fmt`,
+//! into any [`Text`] buffer: they are what every telemetry event is made
+//! of, and a drain renders millions of them straight into bytes. Floats
+//! go through Rust's shortest-roundtrip `Display`, which is already valid
+//! JSON.
 
 use std::fmt::Write;
 
-/// Appends `s` to `out` as a JSON string literal (quotes included),
-/// escaping quotes, backslashes and control characters.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// A buffer JSON text is appended to: a `String`, or the byte buffer a
+/// telemetry drain renders into and writes out as it is.
+pub trait Text {
+    /// Appends `s`.
+    fn push_str(&mut self, s: &str);
+    /// Appends bytes the caller knows are ASCII (digits, hex escapes).
+    fn push_ascii(&mut self, ascii: &[u8]);
+}
+
+// The `#[inline]`s below let a drain in another crate inline these into
+// its render loop: as out-of-line calls, a dozen per event, they cost a
+// JSONL drain half its time again.
+impl Text for String {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
     }
-    out.push('"');
+
+    #[inline]
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        self.extend(ascii.iter().map(|&b| char::from(b)));
+    }
+}
+
+impl Text for Vec<u8> {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+
+    #[inline]
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        self.extend_from_slice(ascii);
+    }
+}
+
+/// `"00"`, `"01"`, … `"99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, exactly as `write!(out, "{v}")` would.
+#[inline]
+pub fn write_u64(out: &mut impl Text, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.push_ascii(&buf[at..]);
+}
+
+/// Appends `s` to `out` as a JSON string literal (quotes included),
+/// escaping quotes, backslashes and control characters. The runs between
+/// escapes are pushed whole, so a string needing none is one copy.
+pub fn write_str(out: &mut impl Text, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push_str("\"");
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !(b == b'"' || b == b'\\' || b < 0x20) {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_ascii(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0x0f)],
+            ]),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push_str("\"");
 }
 
 /// Appends an `f64` as a JSON number. Non-finite values (which JSON
@@ -81,6 +165,35 @@ mod tests {
         let mut out = String::new();
         write_str(&mut out, "a\"b\\c\nd\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    #[test]
+    fn integers_match_display_at_every_length() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        for digits in 1..20 {
+            let p = 10u64.pow(digits);
+            values.extend([p - 1, p, p + 1, p / 2 + 7]);
+        }
+        for v in values {
+            let mut out = String::from("x");
+            write_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn clean_and_escaped_runs_keep_their_text() {
+        for (raw, json) in [
+            ("", "\"\""),
+            ("plain text", "\"plain text\""),
+            ("héllo 日本", "\"héllo 日本\""),
+            ("é\"\u{1f}x\r\t", "\"é\\\"\\u001fx\\r\\t\""),
+            ("\u{0}\u{7f}", "\"\\u0000\u{7f}\""),
+        ] {
+            let mut out = String::new();
+            write_str(&mut out, raw);
+            assert_eq!(out, json, "{raw:?}");
+        }
     }
 
     #[test]

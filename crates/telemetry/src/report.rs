@@ -30,7 +30,6 @@ pub struct ProgressReporter {
     /// `(campaign, submitted, completed, answered, in_flight)`.
     last_progress: Option<(u32, u64, u64, u64, u64)>,
     tty_dirty: bool,
-    buf: String,
     events_written: u64,
 }
 
@@ -45,7 +44,6 @@ impl ProgressReporter {
             last_drain: None,
             last_progress: None,
             tty_dirty: false,
-            buf: String::new(),
             events_written: 0,
         }
     }
@@ -102,28 +100,29 @@ impl ProgressReporter {
 
     fn drain(&mut self) -> io::Result<()> {
         self.last_drain = Some(Instant::now());
-        let events = self.hub.drain();
-        if events.is_empty() {
+        let last_progress = &mut self.last_progress;
+        let drained = self.hub.drain_chunks(
+            self.sink.as_deref_mut().map(|s| s as &mut dyn io::Write),
+            |chunk| {
+                for ev in chunk {
+                    if let EventKind::CampaignProgress {
+                        submitted,
+                        completed,
+                        answered,
+                        in_flight,
+                    } = ev.kind
+                    {
+                        *last_progress =
+                            Some((ev.campaign, submitted, completed, answered, in_flight));
+                    }
+                }
+            },
+        )?;
+        if drained == 0 {
             return Ok(());
         }
-        for ev in &events {
-            if let EventKind::CampaignProgress {
-                submitted,
-                completed,
-                answered,
-                in_flight,
-            } = ev.kind
-            {
-                self.last_progress = Some((ev.campaign, submitted, completed, answered, in_flight));
-            }
-        }
-        if let Some(sink) = &mut self.sink {
-            self.buf.clear();
-            for ev in &events {
-                ev.write_jsonl(&mut self.buf);
-            }
-            sink.write_all(self.buf.as_bytes())?;
-            self.events_written += events.len() as u64;
+        if self.sink.is_some() {
+            self.events_written += drained as u64;
         }
         if self.tty {
             if let Some((campaign, submitted, completed, answered, in_flight)) = self.last_progress

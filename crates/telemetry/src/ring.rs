@@ -15,6 +15,10 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Most events one [`EventRing::drain_chunk`] moves: what a drainer holds
+/// at once, whatever the ring's capacity or the drain interval.
+pub const DRAIN_CHUNK: usize = 256;
+
 /// Bounded drop-oldest MPMC event queue. See the module docs.
 #[derive(Debug)]
 pub struct EventRing {
@@ -75,10 +79,15 @@ impl EventRing {
         self.emitted.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// Moves every queued event into `out`, oldest first.
-    pub fn drain_into(&self, out: &mut Vec<Event>) {
+    /// Moves the oldest queued events into `out`, at most
+    /// [`DRAIN_CHUNK`] of them, and returns how many it moved. The lock
+    /// covers only this move, so an emitter waits for one chunk's copy at
+    /// most, never for a drainer's rendering or I/O.
+    pub fn drain_chunk(&self, out: &mut Vec<Event>) -> usize {
         let mut queue = self.queue.lock();
-        out.extend(queue.drain(..));
+        let n = queue.len().min(DRAIN_CHUNK);
+        out.extend(queue.drain(..n));
+        n
     }
 
     /// Events currently queued.
@@ -135,10 +144,7 @@ mod tests {
         for t in 0..5 {
             ring.push(ev(t));
         }
-        let mut out = Vec::new();
-        ring.drain_into(&mut out);
-        let tokens: Vec<u64> = out.iter().map(|e| e.at_us).collect();
-        assert_eq!(tokens, vec![2, 3, 4], "oldest must be shed first");
+        assert_eq!(tokens(&ring), vec![2, 3, 4], "oldest must be shed first");
         assert_eq!(ring.emitted(), 5);
         assert_eq!(ring.dropped(), 2);
     }
@@ -149,18 +155,34 @@ mod tests {
         for t in 0..10 {
             ring.push(ev(t));
         }
-        let mut out = Vec::new();
-        ring.drain_into(&mut out);
+        let drained = tokens(&ring);
         assert_eq!(
             ring.emitted(),
-            out.len() as u64 + ring.dropped() + ring.len() as u64
+            drained.len() as u64 + ring.dropped() + ring.len() as u64
         );
     }
 
+    /// Drains the ring chunk by chunk and returns the tokens, in order.
     fn tokens(ring: &EventRing) -> Vec<u64> {
         let mut out = Vec::new();
-        ring.drain_into(&mut out);
+        while ring.drain_chunk(&mut out) > 0 {}
         out.iter().map(|e| e.at_us).collect()
+    }
+
+    #[test]
+    fn a_chunk_moves_at_most_drain_chunk_events_oldest_first() {
+        let ring = EventRing::new(2 * DRAIN_CHUNK);
+        let total = DRAIN_CHUNK as u64 + 10;
+        for t in 0..total {
+            ring.push(ev(t));
+        }
+        let mut chunk = Vec::new();
+        assert_eq!(ring.drain_chunk(&mut chunk), DRAIN_CHUNK);
+        assert_eq!(ring.len(), 10);
+        assert_eq!(ring.drain_chunk(&mut chunk), 10);
+        assert_eq!(ring.drain_chunk(&mut chunk), 0);
+        let drained: Vec<u64> = chunk.iter().map(|e| e.at_us).collect();
+        assert_eq!(drained, (0..total).collect::<Vec<_>>());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! once — `emitted == drained + queued + shed`, with the shed total also
 //! surfaced in-stream via `events_dropped` records.
 
+use cde_telemetry::ring::DRAIN_CHUNK;
 use cde_telemetry::{EventKind, TelemetryHub};
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -183,6 +185,129 @@ fn batched_and_single_emitters_account_exactly_and_keep_order() {
     assert_eq!(hub.queued(), 0);
     assert!(hub.dropped() > 0, "the ring never overflowed");
     assert_eq!(drained + hub.dropped(), total);
+    assert_eq!(shed_reported, hub.dropped());
+}
+
+/// Counts the lines written to it.
+#[derive(Default)]
+struct LineCount(usize);
+
+impl io::Write for LineCount {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.iter().filter(|&&b| b == b'\n').count();
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The drainer works chunk by chunk while a batched emitter and two
+/// single emitters push: every chunk is at most `DRAIN_CHUNK` events,
+/// each emitter's events arrive in order, each drain carries at most
+/// one `events_dropped` record and only after all its events, every
+/// event handed over is also rendered, and the totals balance exactly.
+#[test]
+fn chunked_drains_against_batched_and_single_emitters() {
+    const BATCHES: u64 = 300;
+    let hub = TelemetryHub::new(RING_CAPACITY);
+    let batch_len = |b: u64| 1 + (b * 53) % 600;
+    let batched_total: u64 = (0..BATCHES).map(batch_len).sum();
+    let emitters_done = Arc::new(AtomicBool::new(false));
+
+    let drainer = {
+        let hub = Arc::clone(&hub);
+        let emitters_done = Arc::clone(&emitters_done);
+        thread::spawn(move || {
+            let (mut drained, mut shed_reported, mut drains) = (0u64, 0u64, 0u64);
+            let mut next = [0u64; 3];
+            let mut lines = LineCount::default();
+            let mut drain_once = |lines: &mut LineCount| {
+                let mut record_seen = false;
+                let handed = hub
+                    .drain_chunks(Some(lines), |chunk| {
+                        assert!(!chunk.is_empty() && chunk.len() <= DRAIN_CHUNK);
+                        for ev in chunk {
+                            assert!(!record_seen, "an event after this drain's loss record");
+                            match ev.kind {
+                                EventKind::EventsDropped { count } => {
+                                    record_seen = true;
+                                    shed_reported += count;
+                                }
+                                EventKind::ProbeSent { token, attempt } => {
+                                    let emitter = attempt as usize;
+                                    assert!(token >= next[emitter], "emitter {emitter} reordered");
+                                    next[emitter] = token + 1;
+                                    drained += 1;
+                                }
+                                ref other => panic!("unexpected {other:?}"),
+                            }
+                        }
+                    })
+                    .unwrap();
+                drains += 1;
+                handed
+            };
+            let mut handed = 0;
+            loop {
+                handed += drain_once(&mut lines);
+                if emitters_done.load(Ordering::Acquire) {
+                    // The last drains pick up the tail; an empty one
+                    // shows nothing is left.
+                    while drain_once(&mut lines) > 0 {}
+                    assert_eq!(lines.0, handed, "every event handed over was rendered");
+                    return (drained, shed_reported, drains);
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+
+    let batched = {
+        let hub = Arc::clone(&hub);
+        thread::spawn(move || {
+            let mut pass = Vec::new();
+            let mut seq = 0u64;
+            for b in 0..BATCHES {
+                let at = std::time::Instant::now();
+                for _ in 0..batch_len(b) {
+                    pass.push(hub.event_at(
+                        at,
+                        0,
+                        EventKind::ProbeSent {
+                            token: seq,
+                            attempt: 0,
+                        },
+                    ));
+                    seq += 1;
+                }
+                hub.emit_all(&mut pass);
+            }
+        })
+    };
+    let singles: Vec<_> = (1..=2u32)
+        .map(|e| {
+            let hub = Arc::clone(&hub);
+            thread::spawn(move || {
+                for token in 0..PER_EMITTER {
+                    hub.emit(0, EventKind::ProbeSent { token, attempt: e });
+                }
+            })
+        })
+        .collect();
+    batched.join().unwrap();
+    for h in singles {
+        h.join().unwrap();
+    }
+    emitters_done.store(true, Ordering::Release);
+    let (drained, shed_reported, drains) = drainer.join().unwrap();
+
+    let total = batched_total + 2 * PER_EMITTER;
+    assert!(drains > 1);
+    assert_eq!(hub.emitted(), total);
+    assert_eq!(hub.queued(), 0);
+    assert!(hub.dropped() > 0, "the ring never overflowed");
+    assert_eq!(hub.emitted(), drained + hub.queued() as u64 + hub.dropped());
     assert_eq!(shed_reported, hub.dropped());
 }
 
