@@ -13,14 +13,16 @@ test:
 # park instead of ppoll) are what every non-Linux target runs and what
 # nothing on a Linux box exercises unless forced: run the sysio suite,
 # the engine's unit tests (the batched resolver serving without
-# coalesced receives), the reactor suites that lean on the wait and the
+# coalesced receives), the reactor suites that lean on the wait, the
 # single-time-base suite (one clock stamp per datagram, as the portable
-# receive reads one per call) with the fallback on.
+# receive reads one per call) and the whole live chain (shard, resolver
+# and authority loops, each waiting on its own poller) with the
+# fallback on.
 test-fallback:
 	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-sysio
 	CDE_SYSIO_FALLBACK=1 cargo test -q --locked -p cde-engine --lib \
 		--test reactor_correlation --test reactor_shard --test reactor_wait \
-		--test reactor_insight
+		--test reactor_insight --test live_loopback
 
 # Every simulator table at the default seed and scale, diffed byte for
 # byte against the committed stdout of `experiments all`. A change that

@@ -3,31 +3,36 @@
 //! The paper's infrastructure is a set of authoritative nameservers whose
 //! query logs *are* the measurement (§IV-A). [`WireAuthority`] lifts a
 //! simulated [`NameserverNet`] onto real UDP sockets: every virtual server
-//! address (`10.0.0.x`) gets its own `127.0.0.1:port` socket and serving
-//! thread, answering with `cde-dns` wire encoding and recording the source
-//! of every query it sees. Observed queries stream back over a channel so
-//! the canonical net — the one the measurement algorithms read — stays the
-//! single source of truth.
+//! address (`10.0.0.x`) gets its own `127.0.0.1:port` socket, answering
+//! with `cde-dns` wire encoding and recording the source of every query it
+//! sees. Observed queries stream back over a channel so the canonical net
+//! — the one the measurement algorithms read — stays the single source of
+//! truth.
+//!
+//! One thread serves every socket. It blocks in a [`cde_sysio::Poller`]
+//! wait until a query lands or `Drop` fires the waker, so an idle
+//! authority costs no wake-ups. Answers held back by an upstream delay
+//! queue in arrival order, and the oldest one's due time is the wait's
+//! timeout: one server's hold never delays another server's answers.
 //!
 //! Hermetic by construction: loopback only, ephemeral ports, no fixtures.
 
 use crate::clock::EngineClock;
 use cde_dns::{Edns, Message};
 use cde_platform::{AuthServer, NameserverNet, QueryLogEntry};
+use cde_sysio::{Poller, Waker};
 use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest datagram a server reads (standard EDNS buffer size).
 const MAX_DATAGRAM: usize = 4096;
-/// Poll granularity of the serving loops; bounds shutdown latency.
-const POLL_TIMEOUT: Duration = Duration::from_millis(20);
 /// Capacity of the observation back-channels. A pipelined campaign can
 /// produce observations far faster than the measurement thread drains
 /// them; the bound turns that into drop-oldest instead of unbounded
@@ -83,25 +88,27 @@ pub(crate) fn obs_queue(cap: usize) -> (ObsSender, Receiver<Observation>, Arc<At
 }
 
 enum Control {
-    /// Replace the served zone snapshot.
-    Sync(AuthServer),
+    /// Replace the zone snapshot served at this socket index.
+    Sync(usize, AuthServer),
 }
 
-/// Clone-able handle pushing zone snapshots to the serving threads.
+/// Clone-able handle pushing zone snapshots to the serving thread.
 #[derive(Clone)]
 pub struct AuthoritySync {
-    controls: Arc<HashMap<Ipv4Addr, Sender<Control>>>,
+    ctl: Sender<Control>,
+    /// Virtual server address → its socket's index in the serving loop.
+    index: Arc<HashMap<Ipv4Addr, usize>>,
 }
 
 impl AuthoritySync {
-    /// Ships a fresh snapshot of every matching server in `net` to its
+    /// Ships a fresh snapshot of every matching server in `net` to the
     /// serving thread. Servers in `net` without a socket are ignored.
     pub fn sync(&self, net: &NameserverNet) {
         for server in net.servers() {
-            if let Some(ctl) = self.controls.get(&server.addr()) {
+            if let Some(&i) = self.index.get(&server.addr()) {
                 let mut snapshot = server.clone();
                 snapshot.clear_log();
-                let _ = ctl.send(Control::Sync(snapshot));
+                let _ = self.ctl.send(Control::Sync(i, snapshot));
             }
         }
     }
@@ -128,8 +135,12 @@ pub struct WireAuthority {
     obs_dropped: Arc<AtomicU64>,
     source_map: Arc<Mutex<HashMap<u16, Ipv4Addr>>>,
     served: Arc<AtomicU64>,
+    /// Serve-loop passes started; an idle authority adds none.
+    passes: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
+    /// Ends the serving thread's wait so `Drop` joins promptly.
+    waker: Waker,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl WireAuthority {
@@ -150,48 +161,57 @@ impl WireAuthority {
         clock: EngineClock,
         delay: Duration,
     ) -> io::Result<WireAuthority> {
-        let (obs_tx, obs_rx, obs_dropped) = obs_queue(OBS_QUEUE_CAP);
-        let source_map: Arc<Mutex<HashMap<u16, Ipv4Addr>>> = Arc::new(Mutex::new(HashMap::new()));
-        let served = Arc::new(AtomicU64::new(0));
-        let shutdown = Arc::new(AtomicBool::new(false));
         let mut addrs = HashMap::new();
-        let mut controls = HashMap::new();
-        let mut handles = Vec::new();
-
+        let mut index = HashMap::new();
+        let mut sockets = Vec::new();
+        let mut servers = Vec::new();
         for server in net.servers() {
             let vaddr = server.addr();
             let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-            socket.set_read_timeout(Some(POLL_TIMEOUT))?;
+            socket.set_nonblocking(true)?;
             addrs.insert(vaddr, socket.local_addr()?);
-            let (ctl_tx, ctl_rx) = unbounded();
-            controls.insert(vaddr, ctl_tx);
+            index.insert(vaddr, sockets.len());
+            sockets.push(socket);
             let mut snapshot = server.clone();
             snapshot.clear_log();
-            handles.push(std::thread::spawn({
-                let obs_tx = obs_tx.clone();
-                let source_map = Arc::clone(&source_map);
-                let served = Arc::clone(&served);
-                let shutdown = Arc::clone(&shutdown);
-                move || {
-                    serve(
-                        socket, vaddr, snapshot, ctl_rx, obs_tx, source_map, served, shutdown,
-                        clock, delay,
-                    )
-                }
-            }));
+            servers.push(snapshot);
         }
-
+        let poller = Poller::new(sockets)?;
+        let waker = poller.waker();
+        let (ctl_tx, ctl_rx) = unbounded();
+        let (obs_tx, obs_rx, obs_dropped) = obs_queue(OBS_QUEUE_CAP);
+        let source_map: Arc<Mutex<HashMap<u16, Ipv4Addr>>> = Arc::new(Mutex::new(HashMap::new()));
+        let served = Arc::new(AtomicU64::new(0));
+        let passes = Arc::new(AtomicU64::new(0));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let handle = std::thread::spawn({
+            let serving = Serving {
+                servers,
+                ctl_rx,
+                obs_tx,
+                source_map: Arc::clone(&source_map),
+                served: Arc::clone(&served),
+                clock,
+                delay,
+            };
+            let passes = Arc::clone(&passes);
+            let shutdown = Arc::clone(&shutdown);
+            move || serving.run(poller, &passes, &shutdown)
+        });
         Ok(WireAuthority {
             addrs,
             sync: AuthoritySync {
-                controls: Arc::new(controls),
+                ctl: ctl_tx,
+                index: Arc::new(index),
             },
             obs_rx,
             obs_dropped,
             source_map,
             served,
+            passes,
             shutdown,
-            handles,
+            waker,
+            handle: Some(handle),
         })
     }
 
@@ -252,7 +272,8 @@ impl WireAuthority {
 impl Drop for WireAuthority {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for handle in self.handles.drain(..) {
+        self.waker.force_wake();
+        if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
     }
@@ -263,73 +284,111 @@ impl std::fmt::Debug for WireAuthority {
         f.debug_struct("WireAuthority")
             .field("addrs", &self.addrs)
             .field("queries_served", &self.queries_served())
+            .field("passes", &self.passes.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-/// One server's blocking serve loop.
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    socket: UdpSocket,
-    vaddr: Ipv4Addr,
-    mut server: AuthServer,
+/// An answer held back by the upstream delay until `due`.
+struct Held {
+    due: Instant,
+    /// Index of the socket that received the query.
+    socket: usize,
+    peer: SocketAddr,
+    bytes: Vec<u8>,
+}
+
+/// Everything the serving thread owns besides its poller. `servers[i]`
+/// is the zone snapshot answered at the poller's socket `i`.
+struct Serving {
+    servers: Vec<AuthServer>,
     ctl_rx: Receiver<Control>,
     obs_tx: ObsSender,
     source_map: Arc<Mutex<HashMap<u16, Ipv4Addr>>>,
     served: Arc<AtomicU64>,
-    shutdown: Arc<AtomicBool>,
     clock: EngineClock,
     delay: Duration,
-) {
-    let mut buf = [0u8; MAX_DATAGRAM];
-    while !shutdown.load(Ordering::SeqCst) {
-        let (len, peer) = match socket.recv_from(&mut buf) {
-            Ok(ok) => ok,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
+}
+
+impl Serving {
+    /// The serving thread's loop: read every socket the wait reported
+    /// until it would block, send the held answers that are due, then
+    /// block until a query lands, the oldest held answer falls due, or
+    /// `Drop` fires the waker.
+    fn run(mut self, mut poller: Poller, passes: &AtomicU64, shutdown: &AtomicBool) {
+        let mut buf = [0u8; MAX_DATAGRAM];
+        // One constant delay keeps due times in arrival order, so the
+        // front of the queue is always the next answer due.
+        let mut held: VecDeque<Held> = VecDeque::new();
+        while !shutdown.load(Ordering::SeqCst) {
+            passes.fetch_add(1, Ordering::Relaxed);
+            for (i, socket) in poller.sockets().iter().enumerate() {
+                // Only the sockets the last wait reported — all of them
+                // when it could not say (see `Poller::ready`).
+                if !poller.ready(i) {
+                    continue;
+                }
+                while let Ok((len, peer)) = socket.recv_from(&mut buf) {
+                    let Some(bytes) = self.answer(i, &buf[..len], peer) else {
+                        continue;
+                    };
+                    if self.delay.is_zero() {
+                        let _ = socket.send_to(&bytes, peer);
+                    } else {
+                        // Injected upstream distance: the answer leaves
+                        // as if the authority were a real network away.
+                        held.push_back(Held {
+                            due: Instant::now() + self.delay,
+                            socket: i,
+                            peer,
+                            bytes,
+                        });
+                    }
+                }
             }
-            Err(_) => continue,
-        };
-        // Zone edits before the query that just arrived, so a snapshot
-        // pushed before a probe was sent is always visible to that probe
-        // (this thread was blocked in `recv_from` when it was pushed).
-        while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
-            server = snapshot;
+            let now = Instant::now();
+            while let Some(answer) = held.front().filter(|h| h.due <= now) {
+                let _ = poller.sockets()[answer.socket].send_to(&answer.bytes, answer.peer);
+                held.pop_front();
+            }
+            let timeout = held
+                .front()
+                .map(|h| h.due.saturating_duration_since(Instant::now()));
+            poller.wait(timeout, || false);
+        }
+    }
+
+    /// Answers one datagram read at socket `i`; `None` for anything that
+    /// is not a well-formed query.
+    fn answer(&mut self, i: usize, datagram: &[u8], peer: SocketAddr) -> Option<Vec<u8>> {
+        // Zone edits before the query just read, so a snapshot pushed
+        // before a probe was sent is always visible to that probe — even
+        // one pushed while this pass was reading other sockets.
+        while let Ok(Control::Sync(j, snapshot)) = self.ctl_rx.try_recv() {
+            self.servers[j] = snapshot;
         }
         // Untrusted bytes: decode errors are dropped, never panic (the
         // hardened `cde_dns::wire` path is load-bearing here).
-        let Ok(query) = Message::decode(&buf[..len]) else {
-            continue;
-        };
+        let query = Message::decode(datagram).ok()?;
         if query.is_response() {
-            continue;
+            return None;
         }
-        let Some(question) = query.question() else {
-            continue;
-        };
+        let question = query.question()?;
         let edns = query.additionals.iter().find_map(Edns::from_record);
-        let from = attribute_source(peer, &source_map);
-        let mut resp = server.handle_with_edns(from, question, edns, clock.now());
+        let from = attribute_source(peer, &self.source_map);
+        let server = &mut self.servers[i];
+        let mut resp = server.handle_with_edns(from, question, edns, self.clock.now());
         resp.id = query.id;
         if let Some(entry) = server.log().last().cloned() {
-            obs_tx.push((vaddr, entry));
+            self.obs_tx.push((server.addr(), entry));
         }
         // The thread-local log only buffers the entry until it is streamed;
         // the canonical log lives with the measurement code.
         server.clear_log();
         // Count before sending, so the counter is never behind a response
         // a client has already received.
-        served.fetch_add(1, Ordering::Relaxed);
-        if !delay.is_zero() {
-            // Injected upstream distance: the whole answer path slows, as
-            // if the authority were a real network away.
-            std::thread::sleep(delay);
-        }
-        if let Ok(bytes) = resp.encode() {
-            let _ = socket.send_to(&bytes, peer);
-        }
+        self.served.fetch_add(1, Ordering::Relaxed);
+        resp.encode().ok()
     }
 }
 
@@ -364,8 +423,27 @@ mod tests {
         ))
         .unwrap();
         let mut net = NameserverNet::new();
-        net.add_server(AuthServer::new(Ipv4Addr::new(10, 0, 0, 20), vec![zone]));
+        net.add_server(AuthServer::new(
+            Ipv4Addr::new(10, 0, 0, 20),
+            vec![zone.clone()],
+        ));
+        net.add_server(AuthServer::new(Ipv4Addr::new(10, 0, 0, 21), vec![zone]));
         net
+    }
+
+    /// Whether the poller's wait can see a datagram land; the portable
+    /// backend (`CDE_SYSIO_FALLBACK=1`) naps instead.
+    fn readiness_driven() -> bool {
+        cde_sysio::backend() != "fallback"
+    }
+
+    /// Runs a timed scenario up to three times; passes on the first `Ok`.
+    /// A shared runner can deschedule a thread for tens of milliseconds,
+    /// so lateness is retried; a loop that is really late is late every
+    /// time.
+    fn within_three_tries(mut scenario: impl FnMut() -> Result<(), String>) {
+        let failures: Vec<String> = (0..3).map_while(|_| scenario().err()).collect();
+        assert!(failures.len() < 3, "late on every try: {failures:#?}");
     }
 
     fn ask(addr: SocketAddr, id: u16, qname: &Name) -> Option<Message> {
@@ -474,5 +552,78 @@ mod tests {
         let resp = ask(addr, 4, &n("name.cache.example")).unwrap();
         assert_eq!(resp.answers.len(), 1);
         assert_eq!(authority.queries_served(), 1);
+    }
+
+    #[test]
+    fn idle_authority_makes_no_pass_and_drops_promptly() {
+        let net = test_net();
+        within_three_tries(|| {
+            let authority = WireAuthority::launch(&net, EngineClock::start()).unwrap();
+            assert_eq!(authority.addrs().len(), 2);
+            // Let the loop run its first pass and go to sleep.
+            std::thread::sleep(Duration::from_millis(50));
+            let before = authority.passes.load(Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(200));
+            let passes = authority.passes.load(Ordering::Relaxed) - before;
+            if readiness_driven() {
+                // Nothing to read and nothing held: no deadline to wake
+                // for. (A thread per server, each waking on a 20 ms read
+                // timeout, made ~15 passes here.)
+                assert_eq!(passes, 0, "{passes} passes in 200 ms while idle");
+            } else {
+                let naps = 200_000 / cde_sysio::poll::FALLBACK_NAP.as_micros() as u64;
+                assert!(passes <= 2 * naps, "{passes} passes");
+            }
+            // Shutdown reaches a loop blocked without a deadline at once.
+            let start = Instant::now();
+            drop(authority);
+            let took = start.elapsed();
+            if took <= Duration::from_millis(5) {
+                Ok(())
+            } else {
+                Err(format!("drop of an idle authority took {took:?}"))
+            }
+        });
+    }
+
+    #[test]
+    fn held_answers_from_two_servers_leave_together() {
+        let delay = Duration::from_millis(100);
+        let slack = delay / 2;
+        let net = test_net();
+        within_three_tries(|| {
+            let authority =
+                WireAuthority::launch_with_delay(&net, EngineClock::start(), delay).unwrap();
+            let query = Message::query(7, Question::new(n("name.cache.example"), RecordType::A))
+                .encode()
+                .unwrap();
+            let clients: Vec<UdpSocket> = (0..2)
+                .map(|_| UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap())
+                .collect();
+            let start = Instant::now();
+            for (client, addr) in clients.iter().zip(authority.addrs().values()) {
+                client.send_to(&query, addr).unwrap();
+            }
+            let mut buf = [0u8; MAX_DATAGRAM];
+            let mut last = Duration::ZERO;
+            for client in &clients {
+                client
+                    .set_read_timeout(Some(Duration::from_secs(2)))
+                    .unwrap();
+                client.recv_from(&mut buf).unwrap();
+                let took = start.elapsed();
+                // Each answer is held from its query's arrival, which
+                // follows its send: never early.
+                assert!(took >= delay, "answered after {took:?}, held {delay:?}");
+                last = last.max(took);
+            }
+            assert_eq!(authority.queries_served(), 2);
+            // Holds that queued behind each other would end at 2·delay.
+            if last <= delay + slack {
+                Ok(())
+            } else {
+                Err(format!("second answer after {last:?}, held {delay:?}"))
+            }
+        });
     }
 }

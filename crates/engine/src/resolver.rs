@@ -26,7 +26,7 @@ use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const MAX_DATAGRAM: usize = 4096;
 /// How long a replayed upstream query waits for the authority's answer.
@@ -211,10 +211,34 @@ impl Replayer {
         if socket.send_to(&bytes, target).is_err() {
             return;
         }
+        let deadline = Instant::now() + REPLAY_TIMEOUT;
         // Wait (briefly) for the authority's reply so the wire round trip
-        // completes before the client sees its own response.
+        // completes before the client sees its own response. An answer
+        // that missed an earlier replay's deadline may still arrive on
+        // this egress socket: it is skipped, and the wait goes on until
+        // this replay's own deadline.
         let mut buf = [0u8; MAX_DATAGRAM];
-        let _ = socket.recv_from(&mut buf);
+        let mut shortened = false;
+        loop {
+            match socket.recv_from(&mut buf) {
+                Ok((len, from)) if from == target && buf[..len].starts_with(&id.to_be_bytes()) => {
+                    break
+                }
+                Ok(_) => {}
+                // Read timeouts surface as either kind, by platform.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+                Err(_) => break,
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || socket.set_read_timeout(Some(left)).is_err() {
+                break;
+            }
+            shortened = true;
+        }
+        if shortened {
+            let _ = socket.set_read_timeout(Some(REPLAY_TIMEOUT));
+        }
     }
 
     fn socket_for(&mut self, egress: Ipv4Addr) -> Option<&UdpSocket> {
@@ -574,5 +598,37 @@ mod tests {
         resolver.syncer().sync(&net);
         let resp = ask(addr, 11, &session.honey).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::NoError);
+    }
+
+    /// An answer that lands after its replay gave up must not end the
+    /// next replay on the same egress socket: that replay would return
+    /// on the stale answer, before its own query's answer.
+    #[test]
+    fn replay_skips_an_answer_that_missed_an_earlier_deadline() {
+        let mut net = NameserverNet::new();
+        cde_core::CdeInfra::install(&mut net);
+        // Every answer lands 150 ms after its replay gave up on it.
+        let delay = REPLAY_TIMEOUT + Duration::from_millis(150);
+        let authority =
+            WireAuthority::launch_with_delay(&net, EngineClock::start(), delay).unwrap();
+        let server = net.servers().next().unwrap().addr();
+        let mut replayer = Replayer {
+            addrs: authority.addrs().clone(),
+            registrar: authority.registrar(),
+            sockets: HashMap::new(),
+            rng: DetRng::seed(5).fork("replayer"),
+        };
+        let egress = Ipv4Addr::new(192, 0, 3, 1);
+        let question = Question::new(n("a.cache.example"), RecordType::A);
+        replayer.replay(server, egress, &question);
+        // The first answer arrives 150 ms into this replay.
+        let start = Instant::now();
+        replayer.replay(server, egress, &question);
+        let took = start.elapsed();
+        assert!(
+            took >= REPLAY_TIMEOUT,
+            "the second replay returned after {took:?}, on the first one's answer"
+        );
+        assert_eq!(authority.queries_served(), 2);
     }
 }

@@ -8,6 +8,12 @@
 //!        └──────────────────────────┴────────── zone sync ◀──────────┘
 //! ```
 //!
+//! The resolver and the authority are one thread each, blocked in its
+//! own `cde_sysio::Poller` wait until a datagram lands, as the reactor's
+//! shard loops are. The authority serves every virtual nameserver's
+//! socket from its one thread and holds delayed answers in a queue
+//! rather than sleeping on them.
+//!
 //! Everything binds `127.0.0.1:0`, so tests and examples run anywhere
 //! with no fixtures, no privileges and no port collisions.
 

@@ -25,7 +25,7 @@
 
 use cde_dns::{Message, Name, RecordType};
 use cde_engine::reactor::{ProbeCompletion, Reactor, ReactorConfig};
-use cde_engine::{RateConfig, RateLimiter, RetryPolicy, TransportReply};
+use cde_engine::{FlightOptions, RateConfig, RateLimiter, RetryPolicy, TransportReply};
 use cde_faults::{DelayFault, FaultPlan};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
@@ -404,6 +404,7 @@ fn rate_limited_send_fires_on_its_tick_with_nothing_else_waking_the_loop() {
             ReactorConfig {
                 shards: 1,
                 limiter: Some(limiter),
+                flight: Some(FlightOptions::default()),
                 ..ReactorConfig::with_policy(policy(1, 500), 13)
             },
         );
@@ -415,16 +416,23 @@ fn rate_limited_send_fires_on_its_tick_with_nothing_else_waking_the_loop() {
                 TransportReply::Answered { .. }
             ));
         }
-        let arrivals = responder.arrivals();
-        assert_eq!(arrivals.len(), 2);
-        // Early by at most two ticks (the wheel counts whole
-        // milliseconds, and so does the wait it is asked for) plus the
-        // first probe's trip from the limiter to the responder.
+        // The engine's own send stamps, on one time base: the first
+        // datagram's trip to the responder is not part of the interval.
+        let records = reactor.flight().expect("flight configured").snapshot();
+        let sent_at_us = |token: u64| {
+            records
+                .iter()
+                .find(|r| r.token == token)
+                .expect("every answered probe is recorded")
+                .sent_at_us
+        };
+        // Early by at most two ticks: the wheel counts whole
+        // milliseconds, and so does the wait it is asked for.
         on_time(
             "second send after the first",
-            arrivals[1] - arrivals[0],
+            Duration::from_micros(sent_at_us(1).saturating_sub(sent_at_us(0))),
             spacing,
-            Duration::from_millis(3),
+            Duration::from_millis(2),
             Duration::from_millis(3),
         )
     });
