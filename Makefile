@@ -37,7 +37,7 @@ experiments-check:
 
 # The repo benchmark (benchmark/, BENCHMARK.json) is what a performance
 # change is judged on, and it is its own cargo package that `build` and
-# `test` never see: run its harness's unit tests, then two short
+# `test` never see: run its harness's unit tests, then five short
 # workloads end to end. run.sh exits non-zero unless every self-check of
 # the run is ok. `paced_rtt` sends one datagram per call; the
 # `reflector_flood` run drives segmented sends on both ends, checked by
@@ -47,7 +47,10 @@ experiments-check:
 # accounted self-checks; the `reflector_observed` run drives the flood
 # with all four observability tiers on (batched telemetry pushes,
 # flight records, exemplars, digests) under the same exactly-once
-# checks. All share the repository's target directory, so the
+# checks; the `lossy_count` run drives `enumerate_sequential` (the
+# cde-core Enumerator) under bursty loss and checks that every
+# enumeration returns its planted cache count (4 s still completes one
+# cycle of four). All share the repository's target directory, so the
 # dependencies build once.
 benchmark-smoke:
 	CARGO_TARGET_DIR=target cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
@@ -55,6 +58,7 @@ benchmark-smoke:
 	bash benchmark/run.sh --only reflector_flood --seconds 4
 	bash benchmark/run.sh --only reflector_observed --seconds 4
 	bash benchmark/run.sh --only chain_flood --seconds 4
+	bash benchmark/run.sh --only lossy_count --seconds 4
 
 # Both chaos suites: the hermetic FaultyTransport tests and the live
 # loopback reactor fault-layer tests. Override the seed with

@@ -6,6 +6,9 @@
 //! number of fetches `ω` observed at the nameserver is the number of
 //! caches probed; with enough probes, `ω = n`.
 //!
+//! One sans-IO [`Enumerator`] decides when to probe, read `ω` and stop;
+//! the variants drive it, each naming its probes and reading `ω`:
+//!
 //! * [`enumerate_identical`] — direct access: `q` identical queries for
 //!   the honey name (§IV-B1a),
 //! * [`enumerate_cname_farm`] — indirect access: `q` distinct aliases
@@ -13,13 +16,18 @@
 //! * [`enumerate_names_hierarchy`] — indirect access: `q` distinct names
 //!   in a freshly delegated subzone; the *parent* nameserver counts one
 //!   referral fetch per cache (§IV-B2b),
+//! * [`crate::sequential::enumerate_sequential`] — identical queries
+//!   with the sequential stopping rule,
 //! * [`enumerate_two_phase`] — the paper's init/validate protocol with
 //!   `N` seeds run "in parallel" (§V-B).
 
 use crate::access::AccessChannel;
 use crate::infra::{CdeInfra, Session};
+use crate::sequential::SequentialPlanner;
 use cde_analysis::estimators::estimate_cache_count;
+use cde_dns::Name;
 use cde_netsim::{SimDuration, SimTime};
+use cde_platform::NameserverNet;
 
 /// Result of one enumeration run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,20 +40,6 @@ pub struct Enumeration {
     pub observed: u64,
     /// Bias-corrected estimate of the cache count.
     pub estimated: u64,
-}
-
-impl Enumeration {
-    pub(crate) fn from_counts(probes: u64, delivered: u64, observed: u64) -> Enumeration {
-        // ω can exceed the probe count under response loss + upstream
-        // retries; clamp for the estimator's precondition.
-        let clamped = observed.min(probes.max(1));
-        Enumeration {
-            probes,
-            delivered,
-            observed,
-            estimated: estimate_cache_count(clamped, probes.max(1)),
-        }
-    }
 }
 
 /// Options shared by the enumeration variants.
@@ -81,6 +75,138 @@ impl EnumerateOptions {
     }
 }
 
+/// What an [`Enumerator`] asks its driver to do next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Trigger probe `index` up to `copies` times, stopping at the first
+    /// delivered copy, then call [`Enumerator::on_probe`].
+    Probe {
+        /// Zero-based probe number; the driver maps it to a name.
+        index: u64,
+        /// Carpet-bombing copies.
+        copies: u64,
+    },
+    /// Read `ω` at the nameserver, then call [`Enumerator::on_count`].
+    Count,
+    /// The run is over.
+    Done,
+}
+
+/// The counting procedure with no clock and no I/O: it owns the ceiling,
+/// the copies, the stop decision and the tallies, and a driver performs
+/// each [`Step`]. With no planner it is the fixed budget (every probe,
+/// then one count); with a [`SequentialPlanner`] it counts after every
+/// probe and stops once the rule fires or the ceiling is spent.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Enumerator {
+    ceiling: u64,
+    copies: u64,
+    planner: Option<SequentialPlanner>,
+    spent: u64,
+    delivered: u64,
+    observed: u64,
+    /// Delivery of the probe whose count the planner still awaits.
+    pending: Option<bool>,
+    done: bool,
+}
+
+impl Enumerator {
+    /// At most `ceiling` probes of `copies` copies each; `planner` adds
+    /// the sequential stopping rule.
+    pub fn new(ceiling: u64, copies: u64, planner: Option<SequentialPlanner>) -> Enumerator {
+        Enumerator {
+            ceiling,
+            copies,
+            planner,
+            ..Enumerator::default()
+        }
+    }
+
+    /// The step to perform; the same one until it is reported.
+    pub fn next(&self) -> Step {
+        if self.done {
+            Step::Done
+        } else if self.pending.is_some() || self.spent == self.ceiling {
+            Step::Count
+        } else {
+            Step::Probe {
+                index: self.spent,
+                copies: self.copies,
+            }
+        }
+    }
+
+    /// Reports a [`Step::Probe`]: `delivered` when any copy was answered.
+    pub fn on_probe(&mut self, delivered: bool) {
+        self.spent += 1;
+        self.delivered += u64::from(delivered);
+        self.pending = self.planner.is_some().then_some(delivered);
+    }
+
+    /// Reports a [`Step::Count`]: the nameserver's fetch count `ω`.
+    pub fn on_count(&mut self, observed: u64) {
+        self.observed = observed;
+        if let (Some(planner), Some(delivered)) = (&mut self.planner, self.pending.take()) {
+            let new_caches = observed.saturating_sub(planner.observed());
+            if delivered {
+                planner.record_delivered(new_caches);
+            } else {
+                planner.record_lost(new_caches);
+            }
+            self.done = planner.should_stop();
+        }
+        self.done |= self.spent == self.ceiling;
+    }
+
+    /// The tallies as every variant reports them; `probes` is the number
+    /// spent. ω can exceed it under response loss and upstream retries,
+    /// so the estimator sees ω clamped.
+    pub fn enumeration(&self) -> Enumeration {
+        let probes = self.spent.max(1);
+        Enumeration {
+            probes: self.spent,
+            delivered: self.delivered,
+            observed: self.observed,
+            estimated: estimate_cache_count(self.observed.min(probes), probes),
+        }
+    }
+
+    /// True when the stopping rule fired before the ceiling was spent.
+    pub fn stopped_early(&self) -> bool {
+        self.spent < self.ceiling && self.planner.as_ref().is_some_and(|p| p.should_stop())
+    }
+
+    /// The sequential planner; `None` for a fixed budget.
+    pub fn planner(&self) -> Option<&SequentialPlanner> {
+        self.planner.as_ref()
+    }
+}
+
+/// Steps an [`Enumerator`] over `access` until it is done: probe `i` asks
+/// for `name(i)` at `start + i·gap`, and `count` reads `ω`.
+pub(crate) fn drive<'n, A: AccessChannel>(
+    access: &mut A,
+    opts: EnumerateOptions,
+    planner: Option<SequentialPlanner>,
+    start: SimTime,
+    name: impl Fn(u64) -> &'n Name,
+    count: impl Fn(&NameserverNet) -> u64,
+) -> Enumerator {
+    let mut machine = Enumerator::new(opts.probes, opts.redundancy, planner);
+    let mut now = start;
+    loop {
+        match machine.next() {
+            Step::Probe { index, copies } => {
+                let qname = name(index);
+                machine.on_probe((0..copies).any(|_| access.trigger(qname, now).is_delivered()));
+                now += opts.gap;
+            }
+            Step::Count => machine.on_count(count(access.net())),
+            Step::Done => return machine,
+        }
+    }
+}
+
 /// Direct enumeration: `q` identical queries for the session's honey name.
 ///
 /// Requires direct ingress access (indirect channels would be blocked by
@@ -92,19 +218,8 @@ pub fn enumerate_identical<A: AccessChannel>(
     opts: EnumerateOptions,
     start: SimTime,
 ) -> Enumeration {
-    let mut now = start;
-    let mut delivered = 0u64;
-    for _ in 0..opts.probes {
-        for _ in 0..opts.redundancy {
-            if access.trigger(&session.honey, now).is_delivered() {
-                delivered += 1;
-                break;
-            }
-        }
-        now += opts.gap;
-    }
-    let observed = infra.count_honey_fetches(access.net(), &session.honey) as u64;
-    Enumeration::from_counts(opts.probes, delivered, observed)
+    let honey = |net: &NameserverNet| infra.count_honey_fetches(net, &session.honey) as u64;
+    drive(access, opts, None, start, |_| &session.honey, honey).enumeration()
 }
 
 /// Indirect enumeration via the CNAME farm: probe `q` *distinct* aliases;
@@ -127,19 +242,9 @@ pub fn enumerate_cname_farm<A: AccessChannel>(
         session.farm.len(),
         opts.probes
     );
-    let mut now = start;
-    let mut delivered = 0u64;
-    for alias in session.farm.iter().take(opts.probes as usize) {
-        for _ in 0..opts.redundancy {
-            if access.trigger(alias, now).is_delivered() {
-                delivered += 1;
-                break;
-            }
-        }
-        now += opts.gap;
-    }
-    let observed = infra.count_honey_fetches(access.net(), &session.honey) as u64;
-    Enumeration::from_counts(opts.probes, delivered, observed)
+    let alias = |i: u64| &session.farm[i as usize];
+    let honey = |net: &NameserverNet| infra.count_honey_fetches(net, &session.honey) as u64;
+    drive(access, opts, None, start, alias, honey).enumeration()
 }
 
 /// Indirect enumeration via the names hierarchy: probe `q` distinct names
@@ -163,19 +268,9 @@ pub fn enumerate_names_hierarchy<A: AccessChannel>(
         session.sub_farm.len(),
         opts.probes
     );
-    let mut now = start;
-    let mut delivered = 0u64;
-    for name in session.sub_farm.iter().take(opts.probes as usize) {
-        for _ in 0..opts.redundancy {
-            if access.trigger(name, now).is_delivered() {
-                delivered += 1;
-                break;
-            }
-        }
-        now += opts.gap;
-    }
-    let observed = infra.count_referral_fetches(access.net(), session) as u64;
-    Enumeration::from_counts(opts.probes, delivered, observed)
+    let sub_name = |i: u64| &session.sub_farm[i as usize];
+    let referrals = |net: &NameserverNet| infra.count_referral_fetches(net, session) as u64;
+    drive(access, opts, None, start, sub_name, referrals).enumeration()
 }
 
 /// Result of the two-phase init/validate protocol (§V-B).
@@ -498,6 +593,60 @@ mod tests {
             est_err += (n as i64 - e.estimated as i64).abs();
         }
         assert!(est_err <= raw_err, "estimated {est_err} vs raw {raw_err}");
+    }
+
+    /// Drives `machine` to the end with every probe delivered and `ω = 1`
+    /// once any probe went out; returns the steps and the final state.
+    fn steps(mut machine: Enumerator) -> (Vec<Step>, Enumerator) {
+        let mut seen = Vec::new();
+        loop {
+            let step = machine.next();
+            seen.push(step);
+            match step {
+                Step::Probe { .. } => machine.on_probe(true),
+                Step::Count => machine.on_count(machine.enumeration().probes.min(1)),
+                Step::Done => return (seen, machine),
+            }
+        }
+    }
+
+    fn probe(index: u64, copies: u64) -> Step {
+        Step::Probe { index, copies }
+    }
+
+    #[test]
+    fn fixed_budget_probes_q_times_then_counts_once() {
+        let (seen, end) = steps(Enumerator::new(4, 3, None));
+        let mut want: Vec<Step> = (0..4).map(|i| probe(i, 3)).collect();
+        want.extend([Step::Count, Step::Done]);
+        assert_eq!(seen, want);
+        assert_eq!(end.enumeration().probes, 4);
+        assert!(!end.stopped_early());
+    }
+
+    #[test]
+    fn zero_ceiling_counts_then_ends() {
+        for planner in [None, Some(SequentialPlanner::new(0.01))] {
+            let (seen, end) = steps(Enumerator::new(0, 1, planner));
+            assert_eq!(seen, [Step::Count, Step::Done]);
+            assert_eq!(end.enumeration().probes, 0);
+            assert!(!end.stopped_early());
+        }
+    }
+
+    #[test]
+    fn a_stop_on_the_last_allowed_probe_is_not_early() {
+        // ε = 0.5: one cache, then one quiet delivered probe, fires the
+        // rule on the second probe.
+        for (ceiling, early) in [(2, false), (3, true)] {
+            let planner = Some(SequentialPlanner::new(0.5));
+            let (seen, end) = steps(Enumerator::new(ceiling, 1, planner));
+            let want = [probe(0, 1), Step::Count, probe(1, 1), Step::Count];
+            assert_eq!(seen[..4], want);
+            assert_eq!(seen[4..], [Step::Done]);
+            assert_eq!(end.stopped_early(), early, "ceiling {ceiling}");
+            assert!(end.planner().is_some_and(SequentialPlanner::should_stop));
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   nameserver-side observation channel (§IV-A),
 //! * [`access`] — the three access channels: direct (open resolvers),
 //!   SMTP and ad-network web clients (§III, §IV-B),
-//! * [`enumerate`] — cache enumeration: identical queries, CNAME-farm and
-//!   names-hierarchy local-cache bypasses, and the two-phase
-//!   init/validate protocol (§IV-B1a, §IV-B2, §V-B),
+//! * [`enumerate`] — cache enumeration: one sans-IO [`Enumerator`]
+//!   decides when to probe, count and stop, and the identical-query,
+//!   CNAME-farm, names-hierarchy and sequential variants drive it; plus
+//!   the two-phase init/validate protocol (§IV-B1a, §IV-B2, §V-B),
 //! * [`mapping`] — ingress→cache-cluster mapping via honey records and
 //!   egress address discovery (§IV-B1b),
 //! * [`timing`] — the latency side channel for indirect egress access
@@ -78,7 +79,7 @@ pub use access::{
 pub use consistency::{audit_ttl_consistency, ConsistencyOptions, ConsistencyReport, TtlVerdict};
 pub use enumerate::{
     enumerate_cname_farm, enumerate_identical, enumerate_names_hierarchy, enumerate_two_phase,
-    EnumerateOptions, Enumeration, TwoPhaseEnumeration,
+    EnumerateOptions, Enumeration, Enumerator, Step, TwoPhaseEnumeration,
 };
 pub use fingerprint::{classify, fingerprint_software, Fingerprint, FingerprintOptions};
 pub use infra::{CdeInfra, Session};

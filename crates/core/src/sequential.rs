@@ -21,9 +21,10 @@
 //! quiet run (bursty loss cannot fake convergence).
 
 use crate::access::AccessChannel;
-use crate::enumerate::{EnumerateOptions, Enumeration};
+use crate::enumerate::{drive, EnumerateOptions, Enumeration};
 use crate::infra::{CdeInfra, Session};
 use cde_netsim::SimTime;
+use cde_platform::NameserverNet;
 
 /// Sequential stopping rule over distinct-cache evidence.
 ///
@@ -164,8 +165,9 @@ impl SequentialPlanner {
     }
 
     /// Parses a line written by [`SequentialPlanner::snapshot_line`].
-    /// Returns `None` on malformed input; unknown keys are ignored so
-    /// newer writers stay readable by older parsers.
+    /// Returns `None` on malformed input and on states no run reaches
+    /// (`delivered > probes` or `consecutive > delivered`); unknown keys
+    /// are ignored so newer writers stay readable by older parsers.
     pub fn from_snapshot_line(line: &str) -> Option<SequentialPlanner> {
         let mut fields = line.split_whitespace();
         if fields.next() != Some("seqplan") {
@@ -185,15 +187,18 @@ impl SequentialPlanner {
             }
         }
         let epsilon: f64 = epsilon?;
-        if !(epsilon > 0.0 && epsilon < 1.0) {
+        let (consecutive, probes, delivered): (u64, u64, u64) = (consecutive?, probes?, delivered?);
+        // `record_*` keeps consecutive ≤ delivered ≤ probes; anything else
+        // is a corrupt file, which would break a resumed tally.
+        if !(epsilon > 0.0 && epsilon < 1.0) || delivered > probes || consecutive > delivered {
             return None;
         }
         Some(SequentialPlanner {
             epsilon,
             omega: omega?,
-            consecutive: consecutive?,
-            probes: probes?,
-            delivered: delivered?,
+            consecutive,
+            probes,
+            delivered,
         })
     }
 }
@@ -211,10 +216,11 @@ pub struct SequentialEnumeration {
 }
 
 /// Direct enumeration with sequential stopping: identical honey probes as
-/// [`crate::enumerate::enumerate_identical`], but the nameserver's fetch
-/// count is polled after every probe and the campaign ends as soon as
-/// [`SequentialPlanner::should_stop`] fires — `opts.probes` is a budget
-/// ceiling, not a spend target.
+/// [`crate::enumerate::enumerate_identical`], but the
+/// [`Enumerator`](crate::enumerate::Enumerator) carries a planner, so the
+/// nameserver's fetch count is polled after every probe and the campaign
+/// ends as soon as [`SequentialPlanner::should_stop`] fires —
+/// `opts.probes` is a budget ceiling, not a spend target.
 ///
 /// Exactness is preserved: the rule only stops once an uncounted cache is
 /// ruled out at level `epsilon`, so the count matches the exhaustive run
@@ -229,43 +235,20 @@ pub fn enumerate_sequential<A: AccessChannel>(
     start: SimTime,
 ) -> SequentialEnumeration {
     let span = cde_telemetry::global().begin_campaign("enumerate_sequential", opts.probes);
-    let mut planner = SequentialPlanner::new(epsilon);
-    let mut now = start;
-    let mut delivered = 0u64;
-    let mut spent = 0u64;
-    let mut stopped_early = false;
-    for _ in 0..opts.probes {
-        spent += 1;
-        let mut hit = false;
-        for _ in 0..opts.redundancy {
-            if access.trigger(&session.honey, now).is_delivered() {
-                hit = true;
-                break;
-            }
-        }
-        now += opts.gap;
-        let observed = infra.count_honey_fetches(access.net(), &session.honey) as u64;
-        let new_caches = observed.saturating_sub(planner.observed());
-        if hit {
-            delivered += 1;
-            planner.record_delivered(new_caches);
-        } else {
-            planner.record_lost(new_caches);
-        }
-        if planner.should_stop() {
-            stopped_early = spent < opts.probes;
-            break;
-        }
-    }
-    let observed = infra.count_honey_fetches(access.net(), &session.honey) as u64;
-    span.note("observed_caches", observed);
-    span.note("stopped_early", stopped_early as u64);
+    let rule = Some(SequentialPlanner::new(epsilon));
+    let honey = |net: &NameserverNet| infra.count_honey_fetches(net, &session.honey) as u64;
+    let machine = drive(access, opts, rule, start, |_| &session.honey, honey);
+    let planner = machine.planner().cloned();
+    let r = SequentialEnumeration {
+        enumeration: machine.enumeration(),
+        stopped_early: machine.stopped_early(),
+        planner: planner.expect("a sequential run keeps its planner"),
+    };
+    span.note("observed_caches", r.enumeration.observed);
+    span.note("stopped_early", r.stopped_early as u64);
+    let (spent, delivered) = (r.enumeration.probes, r.enumeration.delivered);
     span.end(spent, delivered, spent - delivered);
-    SequentialEnumeration {
-        enumeration: Enumeration::from_counts(spent, delivered, observed),
-        stopped_early,
-        planner,
-    }
+    r
 }
 
 #[cfg(test)]
@@ -467,6 +450,20 @@ mod tests {
             )
             .is_none(),
             "epsilon out of range"
+        );
+        assert!(
+            SequentialPlanner::from_snapshot_line(
+                "seqplan epsilon=0.1 omega=1 consecutive=2 probes=3 delivered=4"
+            )
+            .is_none(),
+            "more delivered than probed"
+        );
+        assert!(
+            SequentialPlanner::from_snapshot_line(
+                "seqplan epsilon=0.1 omega=1 consecutive=3 probes=3 delivered=2"
+            )
+            .is_none(),
+            "a quiet run longer than the delivered probes"
         );
         // Unknown keys are tolerated for forward compatibility.
         let line = "seqplan epsilon=0.001 omega=4 consecutive=9 probes=20 delivered=18 future=1";

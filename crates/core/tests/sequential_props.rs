@@ -1,10 +1,11 @@
 //! Property-based tests for the sequential stopping planner: the rule
 //! may only fire when the exact-count criterion holds, for *any*
-//! interleaving of delivered, lost and cache-revealing probes.
+//! interleaving of delivered, lost and cache-revealing probes — and the
+//! [`Enumerator`] that carries it stops exactly where the planner does.
 
 use cde_core::access::DirectAccess;
 use cde_core::enumerate::EnumerateOptions;
-use cde_core::{enumerate_sequential, CdeInfra, SequentialPlanner};
+use cde_core::{enumerate_sequential, CdeInfra, Enumerator, SequentialPlanner, Step};
 use cde_netsim::{Link, SimTime};
 use cde_platform::{NameserverNet, PlatformBuilder, SelectorKind};
 use cde_probers::DirectProber;
@@ -68,6 +69,53 @@ proptest! {
                 prop_assert!(p.miss_probability() > epsilon
                     || p.consecutive_quiet() >= p.required_quiet());
             }
+        }
+    }
+
+    /// The same streams fed through an [`Enumerator`] with a ceiling: it
+    /// asks for a count after every probe, is `Done` exactly at the first
+    /// event where the planner's rule holds or at the ceiling, never
+    /// probes again after that, spends at most the ceiling, and reports
+    /// `stopped_early` exactly when the rule fired before the ceiling.
+    #[test]
+    fn enumerator_stops_exactly_where_the_planner_does(
+        events in proptest::collection::vec(event(), 1..400),
+        eps_millis in 1u64..500,
+        ceiling in 0u64..400,
+        copies in 1u64..4,
+    ) {
+        let epsilon = eps_millis as f64 / 1000.0;
+        let mut machine = Enumerator::new(ceiling, copies, Some(SequentialPlanner::new(epsilon)));
+        let mut planner = SequentialPlanner::new(epsilon);
+        let mut omega = 0u64;
+        if ceiling == 0 {
+            prop_assert_eq!(machine.next(), Step::Count);
+            machine.on_count(0);
+        }
+        for (i, &(delivered, new_caches)) in events.iter().enumerate() {
+            if machine.next() == Step::Done {
+                break;
+            }
+            prop_assert_eq!(machine.next(), Step::Probe { index: i as u64, copies });
+            machine.on_probe(delivered);
+            prop_assert_eq!(machine.next(), Step::Count);
+            omega += new_caches;
+            machine.on_count(omega);
+            if delivered {
+                planner.record_delivered(new_caches);
+            } else {
+                planner.record_lost(new_caches);
+            }
+            let ends = planner.should_stop() || i as u64 + 1 == ceiling;
+            prop_assert_eq!(machine.next() == Step::Done, ends, "event {}", i);
+        }
+        let spent = machine.enumeration().probes;
+        prop_assert!(spent <= ceiling);
+        prop_assert_eq!(machine.planner(), Some(&planner));
+        prop_assert_eq!(machine.stopped_early(), planner.should_stop() && spent < ceiling);
+        if machine.next() == Step::Done {
+            machine.on_count(omega);
+            prop_assert_eq!(machine.next(), Step::Done, "a stray count reopened the run");
         }
     }
 
