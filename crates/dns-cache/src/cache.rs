@@ -14,10 +14,12 @@ use crate::stats::CacheStats;
 use cde_dns::{Name, Record, RecordType, Ttl};
 use cde_netsim::{DetRng, SimDuration, SimTime};
 use rand::Rng;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Key identifying one cached RRset: owner name plus record type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     /// Owner name.
     pub name: Name,
@@ -31,6 +33,53 @@ impl CacheKey {
         CacheKey { name, rtype }
     }
 }
+
+/// A key seen as its parts, owned ([`CacheKey`]) or borrowed
+/// (`(&Name, RecordType)`): the map stores owned keys and finds them by
+/// a borrowed view, so a lookup clones no name.
+trait KeyView {
+    fn parts(&self) -> (&Name, RecordType);
+}
+
+impl KeyView for CacheKey {
+    fn parts(&self) -> (&Name, RecordType) {
+        (&self.name, self.rtype)
+    }
+}
+
+impl KeyView for (&Name, RecordType) {
+    fn parts(&self) -> (&Name, RecordType) {
+        (self.0, self.1)
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+// `Borrow` requires an owned key and its view to hash alike: both hash
+// their parts.
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
 
 /// Which kind of negative answer was cached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -195,10 +244,10 @@ impl DnsCache {
     /// A fresh positive entry returns records whose TTLs are decayed by the
     /// time elapsed since insertion, exactly as a resolver reports them.
     pub fn lookup(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> CacheLookup {
-        let key = CacheKey::new(name.clone(), rtype);
+        let key: &dyn KeyView = &(name, rtype);
         self.seq += 1;
         let seq = self.seq;
-        match self.map.get_mut(&key) {
+        match self.map.get_mut(key) {
             Some(entry) if entry.expires_at > now => {
                 entry.last_used_seq = seq;
                 match &entry.data {
@@ -219,7 +268,7 @@ impl DnsCache {
                 }
             }
             Some(_) => {
-                self.map.remove(&key);
+                self.map.remove(key);
                 self.stats.expirations += 1;
                 CacheLookup::Miss
             }
@@ -232,9 +281,8 @@ impl DnsCache {
 
     /// Non-mutating freshness probe (no statistics, no LRU update).
     pub fn contains_fresh(&self, name: &Name, rtype: RecordType, now: SimTime) -> bool {
-        let key = CacheKey::new(name.clone(), rtype);
         self.map
-            .get(&key)
+            .get(&(name, rtype) as &dyn KeyView)
             .is_some_and(|entry| entry.expires_at > now)
     }
 
@@ -243,8 +291,7 @@ impl DnsCache {
     /// this to consult cached delegation (NS/glue) data while planning the
     /// next upstream hop.
     pub fn peek(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Vec<Record>> {
-        let key = CacheKey::new(name.clone(), rtype);
-        let entry = self.map.get(&key)?;
+        let entry = self.map.get(&(name, rtype) as &dyn KeyView)?;
         if entry.expires_at <= now {
             return None;
         }

@@ -313,25 +313,48 @@ impl Message {
     /// Returns [`WireError::MessageTooLong`] when the encoded form exceeds
     /// 65 535 octets.
     pub fn encode_into(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.clear();
-        w.put_u16(self.id);
-        w.put_u16(self.flags.to_u16());
-        w.put_u16(self.questions.len() as u16);
-        w.put_u16(self.answers.len() as u16);
-        w.put_u16(self.authorities.len() as u16);
-        w.put_u16(self.additionals.len() as u16);
-        for q in &self.questions {
-            q.encode(w);
-        }
-        for section in [&self.answers, &self.authorities, &self.additionals] {
-            for rr in section {
-                rr.encode(w)?;
-            }
-        }
-        if w.len() > u16::MAX as usize {
-            return Err(WireError::MessageTooLong);
-        }
-        Ok(())
+        encode_parts(
+            w,
+            self.id,
+            self.flags,
+            &self.questions,
+            [&self.answers, &self.authorities, &self.additionals],
+        )
+    }
+
+    /// Encodes the response to a query directly into `w`, clearing it
+    /// first, without constructing a [`Message`]. This is the serving
+    /// hot path: with a warm writer it performs zero allocations.
+    ///
+    /// The query is given by its `id`, its header flags and its question
+    /// section. The layout is identical to
+    /// `Message::response_to(&query).encode()` after setting the
+    /// response's rcode to `rcode` and its answers to `answers`: QR and
+    /// RA set, opcode and RD echoed, AA and TC clear, every question
+    /// echoed as decoded (lowercased name, qtype, qclass), the answers
+    /// after them, and names compressed alike.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::MessageTooLong`] when the encoded form exceeds
+    /// 65 535 octets.
+    pub fn encode_response_into(
+        w: &mut WireWriter,
+        id: u16,
+        query_flags: Flags,
+        questions: &[Question],
+        rcode: Rcode,
+        answers: &[Record],
+    ) -> Result<(), WireError> {
+        let flags = Flags {
+            qr: true,
+            opcode: query_flags.opcode,
+            rd: query_flags.rd,
+            ra: true,
+            rcode,
+            ..Flags::default()
+        };
+        encode_parts(w, id, flags, questions, [answers, &[], &[]])
     }
 
     /// Encodes a recursion-desired single-question `IN`-class query
@@ -417,6 +440,36 @@ impl Message {
     }
 }
 
+/// Writes a whole message into `w`, clearing it first: the one layout
+/// behind [`Message::encode_into`] and [`Message::encode_response_into`].
+fn encode_parts(
+    w: &mut WireWriter,
+    id: u16,
+    flags: Flags,
+    questions: &[Question],
+    sections: [&[Record]; 3],
+) -> Result<(), WireError> {
+    w.clear();
+    w.put_u16(id);
+    w.put_u16(flags.to_u16());
+    w.put_u16(questions.len() as u16);
+    for section in sections {
+        w.put_u16(section.len() as u16);
+    }
+    for q in questions {
+        q.encode(w);
+    }
+    for section in sections {
+        for rr in section {
+            rr.encode(w)?;
+        }
+    }
+    if w.len() > u16::MAX as usize {
+        return Err(WireError::MessageTooLong);
+    }
+    Ok(())
+}
+
 /// A zero-copy view of a DNS message header plus the location of its
 /// question section.
 ///
@@ -451,6 +504,7 @@ pub struct MessagePeek<'a> {
     id: u16,
     flags: Flags,
     qdcount: u16,
+    record_count: usize,
     question_start: usize,
 }
 
@@ -466,15 +520,17 @@ impl<'a> MessagePeek<'a> {
         let id = r.read_u16()?;
         let flags = Flags::from_u16(r.read_u16()?);
         let qdcount = r.read_u16()?;
-        // Skip an/ns/ar counts; the question section starts right after.
-        r.read_u16()?;
-        r.read_u16()?;
-        r.read_u16()?;
+        // The an/ns/ar counts; the question section starts right after.
+        let mut record_count = 0;
+        for _ in 0..3 {
+            record_count += r.read_u16()? as usize;
+        }
         Ok(MessagePeek {
             bytes,
             id,
             flags,
             qdcount,
+            record_count,
             question_start: 12,
         })
     }
@@ -497,6 +553,47 @@ impl<'a> MessagePeek<'a> {
     /// Declared question count.
     pub fn qdcount(&self) -> u16 {
         self.qdcount
+    }
+
+    /// Declared record count of the answer, authority and additional
+    /// sections together.
+    pub fn record_count(&self) -> usize {
+        self.record_count
+    }
+
+    /// Reads the first question into `question`, returning the offset
+    /// just past it, without allocating when the name is unchanged.
+    ///
+    /// A server answering a run of identical queries passes the same
+    /// `question` each time: when the wire name equals `question`'s
+    /// name (case-insensitively, see [`WireReader::name_matches`]) the
+    /// name is kept, and only a different name is read into a fresh
+    /// [`Name`]. The result is the question [`Message::decode`] would
+    /// have read. On an error `question` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] when the message declares no question, or
+    /// when its first question is truncated or malformed.
+    pub fn read_question(&self, question: &mut Question) -> Result<usize, WireError> {
+        if self.qdcount == 0 {
+            return Err(WireError::UnexpectedEof);
+        }
+        let mut r = WireReader::new_at(self.bytes, self.question_start);
+        let fresh = if r.name_matches(&question.qname)? {
+            None
+        } else {
+            r = WireReader::new_at(self.bytes, self.question_start);
+            Some(r.read_name()?)
+        };
+        let qtype = RecordType::from_u16(r.read_u16()?);
+        let qclass = RecordClass::from_u16(r.read_u16()?);
+        if let Some(qname) = fresh {
+            question.qname = qname;
+        }
+        question.qtype = qtype;
+        question.qclass = qclass;
+        Ok(r.position())
     }
 
     /// Checks whether the first question is exactly `(qname, qtype)` in
@@ -672,6 +769,104 @@ mod tests {
         w.put_u16(0xFFFF);
         Message::encode_query_into(&mut w, 0x5ace, &qname, RecordType::Txt);
         assert_eq!(w.as_slice(), &full[..]);
+    }
+
+    #[test]
+    fn encode_response_into_matches_response_to_encode() {
+        let qname = name("Host.Cache.Example");
+        let answers = [
+            Record::new(
+                qname.clone(),
+                Ttl::from_secs(30),
+                RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+            ),
+            Record::new(
+                name("host.cache.example"),
+                Ttl::from_secs(30),
+                RData::Cname(name("other.cache.example")),
+            ),
+        ];
+        let mut query = Message::query(0x77, Question::new(qname, RecordType::A));
+        query
+            .questions
+            .push(Question::new(name("b.example"), RecordType::Mx));
+        let mut w = WireWriter::new();
+        for (opcode, rd, rcode, n_answers) in [
+            (Opcode::Query, true, Rcode::NoError, 2),
+            (Opcode::Status, false, Rcode::NxDomain, 0),
+            (Opcode::Other(9), true, Rcode::Refused, 1),
+        ] {
+            query.flags.opcode = opcode;
+            query.flags.rd = rd;
+            query.flags.aa = true;
+            let mut resp = Message::response_to(&query);
+            resp.flags.rcode = rcode;
+            resp.answers = answers[..n_answers].to_vec();
+            // Dirty the writer first: encode_response_into must clear it.
+            w.put_u16(0xFFFF);
+            Message::encode_response_into(
+                &mut w,
+                query.id,
+                query.flags,
+                &query.questions,
+                rcode,
+                &answers[..n_answers],
+            )
+            .unwrap();
+            assert_eq!(w.as_slice(), &resp.encode().unwrap()[..]);
+        }
+    }
+
+    #[test]
+    fn read_question_keeps_an_equal_name_and_replaces_another() {
+        let bytes = Message::query(1, Question::new(name("MiXeD.cache.example"), RecordType::A))
+            .encode()
+            .unwrap();
+        let peek = MessagePeek::parse(&bytes).unwrap();
+        let mut q = Question::new(name("mixed.cache.example"), RecordType::Txt);
+        let kept = q.qname().wire().as_ptr();
+        assert_eq!(peek.read_question(&mut q).unwrap(), bytes.len());
+        assert_eq!(
+            q.qname().wire().as_ptr(),
+            kept,
+            "an equal name is not re-read"
+        );
+        assert_eq!(&q, Message::decode(&bytes).unwrap().question().unwrap());
+
+        let mut other = Question::new(name("other.example"), RecordType::A);
+        peek.read_question(&mut other).unwrap();
+        assert_eq!(&other, &q);
+
+        // A truncated question leaves the reused question untouched.
+        let short = MessagePeek::parse(&bytes[..bytes.len() - 1]).unwrap();
+        assert!(short.read_question(&mut other).is_err());
+        assert_eq!(&other, &q);
+        let empty = MessagePeek::parse(&bytes[..12]).unwrap();
+        assert!(empty.read_question(&mut other).is_err());
+        let mut header = bytes[..12].to_vec();
+        header[5] = 0;
+        assert!(MessagePeek::parse(&header)
+            .unwrap()
+            .read_question(&mut other)
+            .is_err());
+    }
+
+    #[test]
+    fn peek_counts_records() {
+        let q = Message::query(7, Question::new(name("a.b"), RecordType::A));
+        let mut resp = Message::response_to(&q);
+        for i in 0..3 {
+            resp.answers.push(Record::new(
+                name("a.b"),
+                Ttl::from_secs(30),
+                RData::A(Ipv4Addr::new(192, 0, 2, i)),
+            ));
+        }
+        resp.additionals.push(resp.answers[0].clone());
+        let bytes = resp.encode().unwrap();
+        assert_eq!(MessagePeek::parse(&bytes).unwrap().record_count(), 4);
+        let bytes = q.encode().unwrap();
+        assert_eq!(MessagePeek::parse(&bytes).unwrap().record_count(), 0);
     }
 
     #[test]

@@ -11,10 +11,25 @@
 //!
 //! Loss is injected here — deterministically, from a seeded RNG — which
 //! is what makes retry/backoff behaviour testable hermetically.
+//!
+//! A datagram is served without building a [`Message`]. Its header is
+//! read through [`MessagePeek`]; a query of one question and no records —
+//! what every client sends — has its question read in place into one
+//! reused [`Question`], whose name is re-read only when the wire name
+//! differs from the last one, so a run of identical queries reads it
+//! once. Any other shape is validated by [`Message::decode`] and dropped
+//! exactly when that fails. The platform answers, and
+//! [`Message::encode_response_into`] writes the reply into one reused
+//! writer, laid out byte for byte as `Message::response_to` then
+//! `encode` would. Each receive call's replies are copied back to back
+//! into one arena and sent by range with one `send_batch`, so a run of
+//! same-size replies to one client still leaves as one segmented send.
+//! A warm repeated hit allocates only the cache's copy of its answer.
 
 use crate::authority::{obs_queue, ObsSender, Observation, SourceRegistrar, WireAuthority};
 use crate::clock::EngineClock;
-use cde_dns::{Message, Question, Rcode};
+use cde_dns::wire::WireWriter;
+use cde_dns::{Message, MessagePeek, Name, Question, Rcode, Record, RecordType};
 use cde_netsim::{DetRng, SimTime};
 use cde_platform::{NameserverNet, ResolutionPlatform, ResolveResult};
 use cde_sysio::{Poller, RecvSlot, SendItem, Waker, MAX_BATCH};
@@ -23,6 +38,7 @@ use rand::Rng;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -256,8 +272,8 @@ impl Replayer {
 /// The resolver thread's main loop.
 #[allow(clippy::too_many_arguments)]
 fn run(
-    mut platform: ResolutionPlatform,
-    mut net: NameserverNet,
+    platform: ResolutionPlatform,
+    net: NameserverNet,
     ingresses: Vec<Ipv4Addr>,
     mut poller: Poller,
     ctl_rx: Receiver<Control>,
@@ -267,22 +283,24 @@ fn run(
     clock: EngineClock,
     shutdown: Arc<AtomicBool>,
 ) {
-    let mut rng = DetRng::seed(cfg.seed).fork("loopback-resolver");
-    let mut replayer = authority_link.map(|(addrs, registrar)| Replayer {
+    let replayer = authority_link.map(|(addrs, registrar)| Replayer {
         addrs,
         registrar,
         sockets: HashMap::new(),
         rng: DetRng::seed(cfg.seed).fork("replayer"),
     });
+    let mut server = Server::new(platform, net, replayer, obs_tx, cfg);
     let mut slots: Vec<RecvSlot> = (0..MAX_BATCH).map(|_| RecvSlot::new()).collect();
-    let mut replies: Vec<(Vec<u8>, SocketAddrV4)> = Vec::with_capacity(RECV_BURST);
+    // One receive call's replies, back to back, and where each one lies.
+    let mut arena: Vec<u8> = Vec::new();
+    let mut replies: Vec<(Range<usize>, SocketAddrV4)> = Vec::with_capacity(RECV_BURST);
     while !shutdown.load(Ordering::SeqCst) {
         // Zone edits first, so a snapshot pushed before a probe arrives is
         // always visible to that probe's resolution: the probe's datagram
         // is what ends the wait below, and this drain runs before the
-        // read that wait points at.
+        // read that wait points at. Snapshots arrive with empty logs.
         while let Ok(Control::Sync(snapshot)) = ctl_rx.try_recv() {
-            net = snapshot;
+            server.net = snapshot;
         }
         let mut served = false;
         for (i, (ingress, socket)) in ingresses.iter().zip(poller.sockets()).enumerate() {
@@ -309,22 +327,15 @@ fn run(
                     let Some(peer) = slot.from() else { continue };
                     for datagram in slot.datagrams() {
                         handled += 1;
-                        let reply = handle_datagram(
-                            &mut platform,
-                            &mut net,
-                            *ingress,
-                            datagram,
-                            peer,
-                            &mut rng,
-                            &mut replayer,
-                            &obs_tx,
-                            &cfg,
-                            now,
-                        );
-                        replies.extend(reply.map(|bytes| (bytes, peer)));
+                        if let Some(reply) = server.serve(*ingress, datagram, peer, now) {
+                            let start = arena.len();
+                            arena.extend_from_slice(reply);
+                            replies.push((start..arena.len(), peer));
+                        }
                     }
                 }
-                send_replies(socket, &replies);
+                send_replies(socket, &arena, &replies);
+                arena.clear();
                 replies.clear();
                 if got < slots.len() {
                     break;
@@ -340,21 +351,26 @@ fn run(
 }
 
 /// Sends one batch's replies from the ingress socket that received
-/// their queries: a run of same-size replies to one client leaves as
-/// one segmented message. A reply the kernel refuses — a full send
-/// buffer, a socket error — is dropped, as a lone `send_to` would
-/// drop it; the client's retry covers it.
-fn send_replies(socket: &UdpSocket, replies: &[(Vec<u8>, SocketAddrV4)]) {
-    let items: Vec<SendItem<'_>> = replies
-        .iter()
-        .map(|(payload, dest)| SendItem {
-            payload,
-            dest: *dest,
-        })
-        .collect();
+/// their queries: each reply is its range of `arena`, and a run of
+/// same-size replies to one client leaves as one segmented message. A
+/// reply the kernel refuses — a full send buffer, a socket error — is
+/// dropped, as a lone `send_to` would drop it; the client's retry
+/// covers it.
+fn send_replies(socket: &UdpSocket, arena: &[u8], replies: &[(Range<usize>, SocketAddrV4)]) {
     let mut sent = 0;
-    while sent < items.len() {
-        match cde_sysio::send_batch(socket, &items[sent..]) {
+    while sent < replies.len() {
+        let window = &replies[sent..replies.len().min(sent + MAX_BATCH)];
+        let mut items = [SendItem {
+            payload: &[],
+            dest: SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0),
+        }; MAX_BATCH];
+        for (item, (range, dest)) in items.iter_mut().zip(window) {
+            *item = SendItem {
+                payload: &arena[range.clone()],
+                dest: *dest,
+            };
+        }
+        match cde_sysio::send_batch(socket, &items[..window.len()]) {
             Ok(0) => break,
             Ok(n) => sent += n,
             Err(_) => sent += 1,
@@ -362,77 +378,129 @@ fn send_replies(socket: &UdpSocket, replies: &[(Vec<u8>, SocketAddrV4)]) {
     }
 }
 
-/// Resolves one client datagram, received at `now`, and returns the
-/// reply to send, if any.
-#[allow(clippy::too_many_arguments)]
-fn handle_datagram(
-    platform: &mut ResolutionPlatform,
-    net: &mut NameserverNet,
-    ingress: Ipv4Addr,
-    datagram: &[u8],
-    peer: SocketAddrV4,
-    rng: &mut DetRng,
-    replayer: &mut Option<Replayer>,
-    obs_tx: &ObsSender,
-    cfg: &ResolverConfig,
-    now: SimTime,
-) -> Option<Vec<u8>> {
-    // Untrusted bytes from the wire: drop anything malformed.
-    let query = Message::decode(datagram).ok()?;
-    if query.is_response() {
-        return None;
-    }
-    let question = query.question()?;
-    // Injected request-direction loss: the query never "reaches" us.
-    if cfg.query_loss > 0.0 && rng.gen_bool(cfg.query_loss) {
-        return None;
-    }
-    // Each distinct client port is a distinct synthetic client address, so
-    // the platform's per-client behaviour (selectors, logs) still varies.
-    let client = synth_client(peer);
-    // Fresh logs so everything after handle_query is this query's traffic.
-    net.clear_logs();
-    let response = platform.handle_query(
-        client,
-        ingress,
-        question.qname(),
-        question.qtype(),
-        now,
-        net,
-    );
-    // Stream the upstream queries this resolution caused: replay each over
-    // real UDP to the authority, then hand the observation (with its true
-    // virtual egress) to whoever owns the canonical net.
-    for server in net.servers() {
-        let vaddr = server.addr();
-        for entry in server.log() {
-            if let Some(replayer) = replayer.as_mut() {
-                replayer.replay(
-                    vaddr,
-                    entry.from,
-                    &Question::new(entry.qname.clone(), entry.qtype),
-                );
-            }
-            obs_tx.push((vaddr, entry.clone()));
+/// What the resolver thread serves with: the platform and the
+/// authoritative world it resolves against, the loss RNG, the upstream
+/// replayer, and the question and writer every datagram reuses.
+struct Server {
+    platform: ResolutionPlatform,
+    net: NameserverNet,
+    rng: DetRng,
+    replayer: Option<Replayer>,
+    obs_tx: ObsSender,
+    cfg: ResolverConfig,
+    /// The last question read in place: a run of identical queries reads
+    /// its name once.
+    question: Question,
+    /// The reply to the datagram just served.
+    writer: WireWriter,
+}
+
+impl Server {
+    fn new(
+        platform: ResolutionPlatform,
+        mut net: NameserverNet,
+        replayer: Option<Replayer>,
+        obs_tx: ObsSender,
+        cfg: ResolverConfig,
+    ) -> Server {
+        // Every query leaves the logs empty, so everything logged while
+        // serving one is that query's upstream traffic.
+        net.clear_logs();
+        Server {
+            platform,
+            net,
+            rng: DetRng::seed(cfg.seed).fork("loopback-resolver"),
+            replayer,
+            obs_tx,
+            cfg,
+            question: Question::new(Name::root(), RecordType::A),
+            writer: WireWriter::new(),
         }
     }
-    net.clear_logs();
 
-    let mut resp = Message::response_to(&query);
-    match response {
-        Ok(platform_response) => match platform_response.outcome.result {
-            ResolveResult::Records(records) => {
-                resp.answers = records;
+    /// Resolves one client datagram, received at `now`, and returns the
+    /// reply to send, if any. The reply lives in the server's writer
+    /// until the next call.
+    fn serve(
+        &mut self,
+        ingress: Ipv4Addr,
+        datagram: &[u8],
+        peer: SocketAddrV4,
+        now: SimTime,
+    ) -> Option<&[u8]> {
+        // Untrusted bytes from the wire: drop anything malformed.
+        let peek = MessagePeek::parse(datagram).ok()?;
+        if peek.is_response() {
+            return None;
+        }
+        let decoded: Message;
+        let questions = if peek.qdcount() == 1 && peek.record_count() == 0 {
+            // What clients send: one question and no records, read in
+            // place. Trailing bytes are refused, as `Message::decode`
+            // refuses them.
+            if peek.read_question(&mut self.question).ok()? != datagram.len() {
+                return None;
             }
-            ResolveResult::NxDomain => resp.flags.rcode = Rcode::NxDomain,
-            ResolveResult::NoData => {}
-            ResolveResult::ServFail => resp.flags.rcode = Rcode::ServFail,
-        },
-        // A query for an address that is not an ingress of this platform:
-        // answer REFUSED, as a real open resolver would.
-        Err(_) => resp.flags.rcode = Rcode::Refused,
+            std::slice::from_ref(&self.question)
+        } else {
+            decoded = Message::decode(datagram).ok()?;
+            decoded.questions.as_slice()
+        };
+        let question = questions.first()?;
+        // Injected request-direction loss: the query never "reaches" us.
+        if self.cfg.query_loss > 0.0 && self.rng.gen_bool(self.cfg.query_loss) {
+            return None;
+        }
+        // Each distinct client port is a distinct synthetic client address,
+        // so the platform's per-client behaviour (selectors, logs) still
+        // varies.
+        let client = synth_client(peer);
+        let response = self.platform.handle_query(
+            client,
+            ingress,
+            question.qname(),
+            question.qtype(),
+            now,
+            &mut self.net,
+        );
+        // Stream the upstream queries this resolution caused: replay each
+        // over real UDP to the authority, then hand the observation (with
+        // its true virtual egress) to whoever owns the canonical net.
+        for server in self.net.servers() {
+            let vaddr = server.addr();
+            for entry in server.log() {
+                if let Some(replayer) = self.replayer.as_mut() {
+                    replayer.replay(
+                        vaddr,
+                        entry.from,
+                        &Question::new(entry.qname.clone(), entry.qtype),
+                    );
+                }
+                self.obs_tx.push((vaddr, entry.clone()));
+            }
+        }
+        self.net.clear_logs();
+
+        let (rcode, answers): (Rcode, &[Record]) = match &response {
+            Ok(platform_response) => match &platform_response.outcome.result {
+                ResolveResult::Records(records) => (Rcode::NoError, records),
+                other => (other.rcode(), &[]),
+            },
+            // A query for an address that is not an ingress of this
+            // platform: answer REFUSED, as a real open resolver would.
+            Err(_) => (Rcode::Refused, &[]),
+        };
+        Message::encode_response_into(
+            &mut self.writer,
+            peek.id(),
+            peek.flags(),
+            questions,
+            rcode,
+            answers,
+        )
+        .ok()?;
+        Some(self.writer.as_slice())
     }
-    resp.encode().ok()
 }
 
 /// Maps a real loopback peer to a synthetic client address in the CGNAT
@@ -598,6 +666,342 @@ mod tests {
         resolver.syncer().sync(&net);
         let resp = ask(addr, 11, &session.honey).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::NoError);
+    }
+
+    /// The serve path `Server::serve` replaced, kept verbatim as its
+    /// oracle: decode into a `Message`, clear the logs, resolve, answer
+    /// through `Message::response_to` and encode into a fresh buffer.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_handle_datagram(
+        platform: &mut ResolutionPlatform,
+        net: &mut NameserverNet,
+        ingress: Ipv4Addr,
+        datagram: &[u8],
+        peer: SocketAddrV4,
+        rng: &mut DetRng,
+        replayer: &mut Option<Replayer>,
+        obs_tx: &ObsSender,
+        cfg: &ResolverConfig,
+        now: SimTime,
+    ) -> Option<Vec<u8>> {
+        // Untrusted bytes from the wire: drop anything malformed.
+        let query = Message::decode(datagram).ok()?;
+        if query.is_response() {
+            return None;
+        }
+        let question = query.question()?;
+        // Injected request-direction loss: the query never "reaches" us.
+        if cfg.query_loss > 0.0 && rng.gen_bool(cfg.query_loss) {
+            return None;
+        }
+        // Each distinct client port is a distinct synthetic client address, so
+        // the platform's per-client behaviour (selectors, logs) still varies.
+        let client = synth_client(peer);
+        // Fresh logs so everything after handle_query is this query's traffic.
+        net.clear_logs();
+        let response = platform.handle_query(
+            client,
+            ingress,
+            question.qname(),
+            question.qtype(),
+            now,
+            net,
+        );
+        // Stream the upstream queries this resolution caused: replay each over
+        // real UDP to the authority, then hand the observation (with its true
+        // virtual egress) to whoever owns the canonical net.
+        for server in net.servers() {
+            let vaddr = server.addr();
+            for entry in server.log() {
+                if let Some(replayer) = replayer.as_mut() {
+                    replayer.replay(
+                        vaddr,
+                        entry.from,
+                        &Question::new(entry.qname.clone(), entry.qtype),
+                    );
+                }
+                obs_tx.push((vaddr, entry.clone()));
+            }
+        }
+        net.clear_logs();
+
+        let mut resp = Message::response_to(&query);
+        match response {
+            Ok(platform_response) => match platform_response.outcome.result {
+                ResolveResult::Records(records) => {
+                    resp.answers = records;
+                }
+                ResolveResult::NxDomain => resp.flags.rcode = Rcode::NxDomain,
+                ResolveResult::NoData => {}
+                ResolveResult::ServFail => resp.flags.rcode = Rcode::ServFail,
+            },
+            // A query for an address that is not an ingress of this platform:
+            // answer REFUSED, as a real open resolver would.
+            Err(_) => resp.flags.rcode = Rcode::Refused,
+        }
+        resp.encode().ok()
+    }
+
+    /// Flips the case of some letters in the question section, leaving
+    /// the header and the trailing qtype and qclass alone.
+    fn mangle_case(bytes: &mut [u8], rng: &mut DetRng) {
+        let end = bytes.len().saturating_sub(4);
+        for b in bytes.iter_mut().take(end).skip(12) {
+            if b.is_ascii_lowercase() && rng.gen_bool(0.3) {
+                b.make_ascii_uppercase();
+            }
+        }
+    }
+
+    /// One corpus datagram: mostly well-formed queries (some repeated),
+    /// then every odd shape a client could send.
+    fn corpus_datagram(rng: &mut DetRng, names: &[cde_dns::Name], last: &[u8]) -> Vec<u8> {
+        use cde_dns::{Opcode, RData, Record, Ttl};
+        let qtypes = [
+            RecordType::A,
+            RecordType::A,
+            RecordType::Aaaa,
+            RecordType::Mx,
+            RecordType::Txt,
+            RecordType::Cname,
+            RecordType::Ns,
+            RecordType::Other(0x1234),
+        ];
+        let pick_name = |rng: &mut DetRng| names[rng.gen_range(0..names.len())].clone();
+        let mut query = Message::query(
+            rng.gen(),
+            Question::new(pick_name(rng), qtypes[rng.gen_range(0..qtypes.len())]),
+        );
+        query.flags.rd = rng.gen_bool(0.8);
+        if rng.gen_bool(0.1) {
+            query.flags.opcode =
+                [Opcode::IQuery, Opcode::Status, Opcode::Other(5)][rng.gen_range(0..3usize)];
+        }
+        let record = |name: cde_dns::Name| {
+            Record::new(
+                name,
+                Ttl::from_secs(60),
+                RData::A(Ipv4Addr::new(192, 0, 2, 9)),
+            )
+        };
+        match rng.gen_range(0..100) {
+            // The same datagram again, under a new id.
+            0..=19 if last.len() >= 2 => {
+                let mut bytes = last.to_vec();
+                bytes[..2].copy_from_slice(&rng.gen::<u16>().to_be_bytes());
+                bytes
+            }
+            // A plain query, maybe in mixed case, maybe class CH or ANY.
+            0..=59 => {
+                let mut bytes = query.encode().unwrap();
+                if rng.gen_bool(0.4) {
+                    mangle_case(&mut bytes, rng);
+                }
+                if rng.gen_bool(0.1) {
+                    let class: u16 = if rng.gen() { 3 } else { 255 };
+                    let at = bytes.len() - 2;
+                    bytes[at..].copy_from_slice(&class.to_be_bytes());
+                }
+                bytes
+            }
+            // No question, or a second one (compressed against the first).
+            60..=64 => {
+                if rng.gen() {
+                    query.questions.clear();
+                } else {
+                    query
+                        .questions
+                        .push(Question::new(pick_name(rng), RecordType::A));
+                }
+                query.encode().unwrap()
+            }
+            // Records in the answer, authority or additional section.
+            65..=69 => {
+                let name = pick_name(rng);
+                match rng.gen_range(0..3) {
+                    0 => query.answers.push(record(name)),
+                    1 => query.authorities.push(record(name)),
+                    _ => query.additionals.push(record(name)),
+                }
+                query.encode().unwrap()
+            }
+            // A question name compressed against the header: the id and
+            // flags bytes spell the label "a" and the root, so the name
+            // reads `foo.a`; or a pointer loop.
+            70..=72 => {
+                let mut bytes = vec![1, b'a', 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+                match rng.gen_range(0..3) {
+                    0 => bytes.extend_from_slice(&[3, b'f', b'o', b'o', 0xC0, 0x00]),
+                    1 => bytes.extend_from_slice(&[1, b'b', 0xC0, 0x0C]),
+                    _ => bytes.extend_from_slice(&[0xC0, 0x0C]),
+                }
+                bytes.extend_from_slice(&[0, 1, 0, 1]);
+                bytes
+            }
+            // Truncated anywhere, one byte too long, or a response.
+            73..=79 => {
+                let mut bytes = query.encode().unwrap();
+                match rng.gen_range(0..3) {
+                    0 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                    1 => bytes.push(rng.gen()),
+                    _ => bytes[2] |= 0x80,
+                }
+                bytes
+            }
+            // A query with one byte changed.
+            80..=89 => {
+                let mut bytes = query.encode().unwrap();
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] = rng.gen();
+                bytes
+            }
+            // Random bytes, with or without a query-shaped header.
+            _ => {
+                let mut bytes: Vec<u8> = (0..rng.gen_range(0..48)).map(|_| rng.gen()).collect();
+                if bytes.len() >= 12 && rng.gen() {
+                    bytes[2..12].copy_from_slice(&[1, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
+                }
+                bytes
+            }
+        }
+    }
+
+    /// `Server::serve` against the oracle on two platforms built from the
+    /// same seed, over a seeded corpus of well-formed and malformed
+    /// datagrams: every reply (or drop) and every observation must be
+    /// identical, datagram by datagram, so the two stay in step.
+    #[test]
+    fn serve_matches_the_message_oracle_datagram_for_datagram() {
+        let mut net = NameserverNet::new();
+        let mut infra = cde_core::CdeInfra::install(&mut net);
+        let long = infra.new_session(&mut net, 4);
+        // Short-lived records: hits turn to misses as the clock runs.
+        let brief = infra.new_session_with_ttl(&mut net, 3, cde_dns::Ttl::from_secs(20));
+        let mut names = vec![
+            long.honey.clone(),
+            long.honey.clone(),
+            brief.honey.clone(),
+            long.sub_apex.clone(),
+            n("no-such-name.cache.example"),
+            n("cache.example"),
+            n("elsewhere.invalid"),
+        ];
+        for session in [&long, &brief] {
+            names.extend(session.farm.iter().cloned());
+            names.extend(session.sub_farm.iter().cloned());
+        }
+        let ingress = Ipv4Addr::new(192, 0, 2, 1);
+        let platform = || {
+            PlatformBuilder::new(17)
+                .ingress(vec![ingress])
+                .egress(vec![
+                    Ipv4Addr::new(192, 0, 3, 1),
+                    Ipv4Addr::new(192, 0, 3, 2),
+                ])
+                .cluster(3, SelectorKind::Random)
+                .build()
+        };
+        let cfg = ResolverConfig {
+            query_loss: 0.05,
+            seed: 3,
+        };
+        // A world handed over with queries in its logs: they are not this
+        // resolver's traffic, and must never be observed.
+        platform()
+            .handle_query(
+                Ipv4Addr::new(100, 64, 0, 9),
+                ingress,
+                &long.honey,
+                RecordType::A,
+                SimTime::ZERO,
+                &mut net,
+            )
+            .unwrap();
+        assert!(net.servers().any(|s| !s.log().is_empty()));
+        // A clone keeps the map layout, so both walk the servers' logs in
+        // one order.
+        let mut oracle_net = net.clone();
+        let mut oracle_platform = platform();
+        let mut oracle_rng = DetRng::seed(cfg.seed).fork("loopback-resolver");
+        let (oracle_tx, oracle_rx, _) = obs_queue(crate::authority::OBS_QUEUE_CAP);
+        let (obs_tx, obs_rx, _) = obs_queue(crate::authority::OBS_QUEUE_CAP);
+        let mut server = Server::new(platform(), net, None, obs_tx, cfg);
+
+        let mut rng = DetRng::seed(0x5e12e).fork("corpus");
+        let mut now = SimTime::ZERO;
+        let mut last = Vec::new();
+        let (mut answered, mut dropped, mut observed, mut no_data) = (0, 0, 0, 0);
+        let mut rcodes = HashMap::new();
+        let mut check = |datagram: &[u8], ingress: Ipv4Addr, peer: SocketAddrV4, now: SimTime| {
+            let expected = oracle_handle_datagram(
+                &mut oracle_platform,
+                &mut oracle_net,
+                ingress,
+                datagram,
+                peer,
+                &mut oracle_rng,
+                &mut None,
+                &oracle_tx,
+                &cfg,
+                now,
+            );
+            let got = server
+                .serve(ingress, datagram, peer, now)
+                .map(<[u8]>::to_vec);
+            assert_eq!(got, expected, "reply to {datagram:02x?}");
+            let expected_obs: Vec<Observation> = oracle_rx.try_iter().collect();
+            let got_obs: Vec<Observation> = obs_rx.try_iter().collect();
+            assert_eq!(got_obs, expected_obs, "observations of {datagram:02x?}");
+            observed += got_obs.len();
+            match got {
+                Some(reply) => {
+                    answered += 1;
+                    let peek = MessagePeek::parse(&reply).unwrap();
+                    let rcode = peek.flags().rcode;
+                    *rcodes.entry(rcode).or_insert(0) += 1;
+                    if rcode == Rcode::NoError && peek.record_count() == 0 {
+                        no_data += 1;
+                    }
+                }
+                None => dropped += 1,
+            }
+        };
+        for i in 0..12_000u32 {
+            let datagram = corpus_datagram(&mut rng, &names, &last);
+            // One datagram in 40 reaches an address that is no ingress.
+            let at = if rng.gen_bool(0.025) {
+                Ipv4Addr::new(192, 0, 2, 99)
+            } else {
+                ingress
+            };
+            let peer = SocketAddrV4::new(Ipv4Addr::LOCALHOST, 40_000 + rng.gen_range(0..4u16));
+            now += cde_netsim::SimDuration::from_millis(rng.gen_range(0..20));
+            check(&datagram, at, peer, now);
+            // Every prefix of a few well-formed queries, too.
+            if i % 1_000 == 0 && last.len() > 12 {
+                for len in 0..last.len() {
+                    check(&last[..len], ingress, peer, now);
+                }
+            }
+            last = datagram;
+        }
+        assert!(
+            answered > 5_000 && dropped > 1_000,
+            "{answered} answered, {dropped} dropped"
+        );
+        assert!(observed > 100, "only {observed} upstream queries observed");
+        let with_records = rcodes[&Rcode::NoError] - no_data;
+        assert!(no_data > 50, "only {no_data} NoData answers");
+        assert!(
+            with_records > 500,
+            "only {with_records} answers with records"
+        );
+        for rcode in [Rcode::NoError, Rcode::NxDomain, Rcode::Refused] {
+            assert!(
+                rcodes.get(&rcode).copied().unwrap_or(0) > 50,
+                "{rcode:?}: {rcodes:?}"
+            );
+        }
     }
 
     /// An answer that lands after its replay gave up must not end the

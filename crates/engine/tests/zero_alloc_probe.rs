@@ -1,15 +1,19 @@
 //! The probe hot path touches the heap zero times once warm: a
 //! reusable-writer query encode plus a peek decode of the reply, a
 //! timer-wheel round of schedule / cancel / cascading advance, and a
-//! shard pass's batched telemetry push.
+//! shard pass's batched telemetry push. The loopback resolver's warm
+//! hit allocates only the cache's copy of the answer.
 //!
 //! Allocations are counted per thread, so libtest's other threads (and
 //! the other tests of this file running beside one) cannot move a test's
 //! count.
 
+use cde_core::CdeInfra;
 use cde_dns::wire::WireWriter;
-use cde_dns::{Message, MessagePeek, Name, Question, RData, Record, RecordType, Ttl};
+use cde_dns::{Message, MessagePeek, Name, Question, RData, Rcode, Record, RecordType, Ttl};
 use cde_engine::{TimerKey, TimerWheel};
+use cde_netsim::{SimDuration, SimTime};
+use cde_platform::{NameserverNet, PlatformBuilder, ResolveResult, SelectorKind};
 use cde_telemetry::{EventKind, TelemetryHub};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -171,4 +175,79 @@ fn a_warm_pass_of_telemetry_allocates_nothing() {
     );
     assert_eq!(hub.queued(), 3 * PASS as usize);
     assert_eq!(hub.dropped(), 0);
+}
+
+/// A `chain_flood`-style repeated hit through the layers the loopback
+/// resolver serves a datagram with: the question read in place
+/// (`MessagePeek::read_question`), `ResolutionPlatform::handle_query`,
+/// and `Message::encode_response_into` into a reused writer. Once the
+/// caches hold the honey record and the writer has grown, a hit may
+/// allocate only the cache's TTL-decayed copy of the answer: for one A
+/// record, its `Vec` and the record's owner name.
+#[test]
+fn a_warm_repeated_hit_allocates_only_the_answer_copy() {
+    const HITS: u64 = 64;
+    let mut net = NameserverNet::new();
+    let mut infra = CdeInfra::install(&mut net);
+    let honey = infra.new_session(&mut net, 0).honey;
+    let ingress = Ipv4Addr::new(192, 0, 2, 1);
+    let mut platform = PlatformBuilder::new(17)
+        .ingress(vec![ingress])
+        .egress(vec![Ipv4Addr::new(192, 0, 3, 1)])
+        .cluster(2, SelectorKind::Random)
+        .build();
+    let client = Ipv4Addr::new(100, 64, 0, 1);
+    let query = Message::query(7, Question::new(honey, RecordType::A))
+        .encode()
+        .unwrap();
+    let mut question = Question::new(Name::root(), RecordType::A);
+    let mut writer = WireWriter::new();
+    let mut serve = |net: &mut NameserverNet, question: &mut Question, now: SimTime| {
+        let peek = MessagePeek::parse(black_box(&query)).unwrap();
+        assert_eq!(peek.read_question(question).unwrap(), query.len());
+        let response = platform
+            .handle_query(
+                client,
+                ingress,
+                question.qname(),
+                question.qtype(),
+                now,
+                net,
+            )
+            .unwrap();
+        let ResolveResult::Records(answers) = &response.outcome.result else {
+            panic!("the honey name resolves");
+        };
+        Message::encode_response_into(
+            &mut writer,
+            peek.id(),
+            peek.flags(),
+            std::slice::from_ref(question),
+            Rcode::NoError,
+            answers,
+        )
+        .unwrap();
+        assert_eq!(answers.len(), 1);
+        assert!(writer.len() > query.len());
+        response.outcome.cache_hit
+    };
+    // Warm up: both caches fetch the record, the question's name is read
+    // once, the writer grows; what the misses logged is cleared, as the
+    // resolver clears it.
+    let mut now = SimTime::ZERO;
+    for _ in 0..32 {
+        serve(&mut net, &mut question, now);
+    }
+    net.clear_logs();
+
+    let allocated = allocations_in(|| {
+        for _ in 0..HITS {
+            now += SimDuration::from_millis(1);
+            assert!(serve(&mut net, &mut question, now), "a warm query hits");
+        }
+    });
+    assert!(
+        allocated <= 2 * HITS,
+        "{allocated} allocations in {HITS} warm hits: more than the answer copy"
+    );
 }

@@ -12,6 +12,7 @@ use cde_cache::{CacheLookup, DnsCache, NegativeKind};
 use cde_dns::{Edns, Name, Question, RData, Rcode, Record, RecordType, Ttl};
 use cde_netsim::{DetRng, Link, SimDuration, SimTime};
 use rand::Rng;
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 /// Maximum CNAME hops a resolution follows.
@@ -98,15 +99,22 @@ pub fn resolve(
     let mut latency = SimDuration::ZERO;
     let mut upstream_queries = 0usize;
     let mut chain: Vec<Record> = Vec::new();
-    let mut current = qname.clone();
+    // Borrowed until a CNAME hop or a cache insert needs it owned.
+    let mut current = Cow::Borrowed(qname);
 
     for _hop in 0..=MAX_CNAME_CHAIN {
         // 1. Try the cache, chasing cached CNAMEs.
         match cache.lookup(&current, qtype, now) {
             CacheLookup::Hit(rrs) => {
-                chain.extend(rrs);
+                // A first-lookup hit is the cache's copy as it stands.
+                let records = if chain.is_empty() {
+                    rrs
+                } else {
+                    chain.extend(rrs);
+                    chain
+                };
                 return ResolveOutcome {
-                    result: ResolveResult::Records(chain),
+                    result: ResolveResult::Records(records),
                     latency,
                     upstream_queries,
                     cache_hit: upstream_queries == 0,
@@ -130,7 +138,7 @@ pub fn resolve(
                 if let Some(RData::Cname(target)) = cnames.first().map(Record::rdata) {
                     let target = target.clone();
                     chain.extend(cnames);
-                    current = target;
+                    current = Cow::Owned(target);
                     continue;
                 }
             }
@@ -157,12 +165,12 @@ pub fn resolve(
                         RData::Cname(t) => t.clone(),
                         _ => unreachable!("cname rtype carries cname rdata"),
                     };
-                    cache.insert(current.clone(), RecordType::Cname, rrs.clone(), now);
+                    cache.insert(current.into_owned(), RecordType::Cname, rrs.clone(), now);
                     chain.extend(rrs);
-                    current = target;
+                    current = Cow::Owned(target);
                     continue;
                 }
-                cache.insert(current.clone(), qtype, rrs.clone(), now);
+                cache.insert(current.into_owned(), qtype, rrs.clone(), now);
                 chain.extend(rrs);
                 return ResolveOutcome {
                     result: ResolveResult::Records(chain),
@@ -172,7 +180,7 @@ pub fn resolve(
                 };
             }
             IterOutcome::Negative(kind, neg_ttl) => {
-                cache.insert_negative(current.clone(), qtype, kind, neg_ttl, now);
+                cache.insert_negative(current.into_owned(), qtype, kind, neg_ttl, now);
                 return ResolveOutcome {
                     result: match kind {
                         NegativeKind::NxDomain => ResolveResult::NxDomain,

@@ -253,8 +253,15 @@ fn chunked_drains_against_batched_and_single_emitters() {
                 handed += drain_once(&mut lines);
                 if emitters_done.load(Ordering::Acquire) {
                     // The last drains pick up the tail; an empty one
-                    // shows nothing is left.
-                    while drain_once(&mut lines) > 0 {}
+                    // shows nothing is left. What they hand over counts
+                    // too: they render it.
+                    loop {
+                        let tail = drain_once(&mut lines);
+                        handed += tail;
+                        if tail == 0 {
+                            break;
+                        }
+                    }
                     assert_eq!(lines.0, handed, "every event handed over was rendered");
                     return (drained, shed_reported, drains);
                 }
