@@ -127,12 +127,11 @@ pub fn audit_ttl_consistency<A: AccessChannel>(
             let _ = access.trigger(&session.honey, at);
         }
     }
-    let refetches_within_ttl =
-        infra.count_honey_fetches(access.net(), &session.honey) as u64 - baseline;
+    let before_expiry_probes = infra.count_honey_fetches(access.net(), &session.honey) as u64;
+    let refetches_within_ttl = before_expiry_probes - baseline;
 
     // Phase 3: after expiry (half a TTL past the end, measured from the
     // last phase-2 probe so every legitimate entry has lapsed).
-    let before_expiry_probes = infra.count_honey_fetches(access.net(), &session.honey) as u64;
     let after = start + ttl_span * 2 + ttl_span / 2;
     for _ in 0..budget.min(2 * opts.n_max) {
         let _ = access.trigger(&session.honey, after);

@@ -22,12 +22,11 @@
 //!   `N` seeds run "in parallel" (§V-B).
 
 use crate::access::AccessChannel;
-use crate::infra::{CdeInfra, Session};
+use crate::infra::{CdeInfra, Observer, Session};
 use crate::sequential::SequentialPlanner;
 use cde_analysis::estimators::estimate_cache_count;
 use cde_dns::Name;
 use cde_netsim::{SimDuration, SimTime};
-use cde_platform::NameserverNet;
 
 /// Result of one enumeration run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,14 +182,15 @@ impl Enumerator {
 }
 
 /// Steps an [`Enumerator`] over `access` until it is done: probe `i` asks
-/// for `name(i)` at `start + i·gap`, and `count` reads `ω`.
+/// for `name(i)` at `start + i·gap`, and `ω` is `count`'s tally, read
+/// from its [`Observer`] once brought up to date.
 pub(crate) fn drive<'n, A: AccessChannel>(
     access: &mut A,
     opts: EnumerateOptions,
     planner: Option<SequentialPlanner>,
     start: SimTime,
     name: impl Fn(u64) -> &'n Name,
-    count: impl Fn(&NameserverNet) -> u64,
+    (observer, tally): (&mut Observer, impl Fn(&Observer) -> usize),
 ) -> Enumerator {
     let mut machine = Enumerator::new(opts.probes, opts.redundancy, planner);
     let mut now = start;
@@ -201,7 +201,7 @@ pub(crate) fn drive<'n, A: AccessChannel>(
                 machine.on_probe((0..copies).any(|_| access.trigger(qname, now).is_delivered()));
                 now += opts.gap;
             }
-            Step::Count => machine.on_count(count(access.net())),
+            Step::Count => machine.on_count(tally(observer.update(access.net())) as u64),
             Step::Done => return machine,
         }
     }
@@ -218,8 +218,8 @@ pub fn enumerate_identical<A: AccessChannel>(
     opts: EnumerateOptions,
     start: SimTime,
 ) -> Enumeration {
-    let honey = |net: &NameserverNet| infra.count_honey_fetches(net, &session.honey) as u64;
-    drive(access, opts, None, start, |_| &session.honey, honey).enumeration()
+    let count = (&mut infra.observer(session), Observer::honey_fetches);
+    drive(access, opts, None, start, |_| &session.honey, count).enumeration()
 }
 
 /// Indirect enumeration via the CNAME farm: probe `q` *distinct* aliases;
@@ -243,8 +243,8 @@ pub fn enumerate_cname_farm<A: AccessChannel>(
         opts.probes
     );
     let alias = |i: u64| &session.farm[i as usize];
-    let honey = |net: &NameserverNet| infra.count_honey_fetches(net, &session.honey) as u64;
-    drive(access, opts, None, start, alias, honey).enumeration()
+    let count = (&mut infra.observer(session), Observer::honey_fetches);
+    drive(access, opts, None, start, alias, count).enumeration()
 }
 
 /// Indirect enumeration via the names hierarchy: probe `q` distinct names
@@ -269,8 +269,8 @@ pub fn enumerate_names_hierarchy<A: AccessChannel>(
         opts.probes
     );
     let sub_name = |i: u64| &session.sub_farm[i as usize];
-    let referrals = |net: &NameserverNet| infra.count_referral_fetches(net, session) as u64;
-    drive(access, opts, None, start, sub_name, referrals).enumeration()
+    let count = (&mut infra.observer(session), Observer::referral_fetches);
+    drive(access, opts, None, start, sub_name, count).enumeration()
 }
 
 /// Result of the two-phase init/validate protocol (§V-B).
@@ -305,25 +305,22 @@ pub fn enumerate_two_phase<A: AccessChannel>(
 ) -> TwoPhaseEnumeration {
     // Init: N probes back-to-back (the paper sends them in parallel, i.e.
     // without waiting for responses; a zero gap models that).
+    let mut observer = infra.observer(session);
     for _ in 0..seeds {
         let _ = access.trigger(&session.honey, start);
     }
-    let observed_init = infra.count_honey_fetches(access.net(), &session.honey) as u64;
+    let observed_init = observer.update(access.net()).honey_fetches() as u64;
 
     // Validate: N more probes; a probe causing no new fetch was answered
     // from a cache that already held the seed.
     let validate_start = start + SimDuration::from_millis(50);
     let mut validate_hits = 0u64;
-    let mut fetches_so_far = observed_init;
     for _ in 0..seeds {
+        let before = observer.honey_fetches();
         let _ = access.trigger(&session.honey, validate_start);
-        let now_count = infra.count_honey_fetches(access.net(), &session.honey) as u64;
-        if now_count == fetches_so_far {
-            validate_hits += 1;
-        }
-        fetches_so_far = now_count;
+        validate_hits += u64::from(observer.update(access.net()).honey_fetches() == before);
     }
-    let total_observed = fetches_so_far;
+    let total_observed = observer.honey_fetches() as u64;
     let observed_validate = total_observed - observed_init;
     let probes = 2 * seeds;
     TwoPhaseEnumeration {

@@ -13,7 +13,7 @@ use crate::access::AccessChannel;
 use crate::infra::CdeInfra;
 use cde_analysis::coupon::query_budget;
 use cde_cache::SoftwareProfile;
-use cde_dns::Ttl;
+use cde_dns::{Name, Ttl};
 use cde_netsim::{SimDuration, SimTime};
 
 /// What the fingerprinting probes measured.
@@ -127,16 +127,9 @@ pub fn fingerprint_software<A: AccessChannel>(
     }
 }
 
-fn count_nonce_fetches<A: AccessChannel>(
-    access: &A,
-    infra: &CdeInfra,
-    nonce: &cde_dns::Name,
-) -> usize {
-    access
-        .net()
-        .server(infra.zone_server_addr())
-        .map(|s| s.count_queries_for(nonce))
-        .unwrap_or(0)
+fn count_nonce_fetches<A: AccessChannel>(access: &A, infra: &CdeInfra, nonce: &Name) -> usize {
+    let zone = access.net().server(infra.zone_server_addr());
+    zone.map_or(0, |s| s.count_queries_for(nonce))
 }
 
 /// Maps a measured cap pair to a profile when exactly one matches.

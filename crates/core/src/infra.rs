@@ -8,9 +8,9 @@
 //! for the names-hierarchy bypass (§IV-B2b), so repeated measurements
 //! never contaminate each other through leftover TTL state.
 
-use cde_dns::{Name, RData, Record, Ttl, Zone};
-use cde_netsim::SimTime;
-use cde_platform::{AuthServer, NameserverNet};
+use cde_dns::{Name, RData, Record, RecordType, Ttl, Zone};
+use cde_platform::{AuthServer, NameserverNet, QueryLogEntry};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Addresses the infrastructure claims inside the simulation.
@@ -18,6 +18,7 @@ const ROOT_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const TLD_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 10);
 const ZONE_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 20);
 const SUB_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 30);
+const SERVERS: [Ipv4Addr; 4] = [ROOT_ADDR, TLD_ADDR, ZONE_ADDR, SUB_ADDR];
 
 /// TTL given to session records; long enough that a measurement finishes
 /// well within it.
@@ -40,6 +41,13 @@ pub struct Session {
 
 /// The CDE infrastructure handle.
 ///
+/// `Clone` yields an independent handle over the *same* installed
+/// infrastructure — useful when a second driver (e.g. a resumed
+/// campaign manager) needs to derive names against an apex that is
+/// already being served. Counters diverge after the clone; resuming
+/// drivers should [`CdeInfra::restore_session_counter`] from a
+/// checkpoint rather than trust a stale clone.
+///
 /// # Examples
 ///
 /// ```
@@ -52,12 +60,6 @@ pub struct Session {
 /// assert_eq!(session.farm.len(), 16);
 /// assert_eq!(infra.count_honey_fetches(&net, &session.honey), 0);
 /// ```
-/// `Clone` yields an independent handle over the *same* installed
-/// infrastructure — useful when a second driver (e.g. a resumed
-/// campaign manager) needs to derive names against an apex that is
-/// already being served. Counters diverge after the clone; resuming
-/// drivers should [`CdeInfra::restore_session_counter`] from a
-/// checkpoint rather than trust a stale clone.
 #[derive(Debug, Clone)]
 pub struct CdeInfra {
     apex: Name,
@@ -75,7 +77,7 @@ impl CdeInfra {
     /// addresses (install on a fresh network).
     pub fn install(net: &mut NameserverNet) -> CdeInfra {
         let apex: Name = "cache.example".parse().expect("static name");
-        for addr in [ROOT_ADDR, TLD_ADDR, ZONE_ADDR, SUB_ADDR] {
+        for addr in SERVERS {
             assert!(
                 net.server(addr).is_none(),
                 "infrastructure address {addr} already in use"
@@ -158,79 +160,40 @@ impl CdeInfra {
         farm_size: usize,
         ttl: Ttl,
     ) -> Session {
-        let session_ttl = move || ttl;
         self.session_counter += 1;
         let s = self.session_counter;
-        let honey = self
-            .apex
-            .prepend_label(format!("name-{s}"))
-            .expect("session label fits");
-        let sub_apex = self
-            .apex
-            .prepend_label(format!("sub-{s}"))
-            .expect("session label fits");
-        let sub_ns = sub_apex.prepend_label("ns").expect("session label fits");
+        let label = |parent: &Name, l: String| parent.prepend_label(l).expect("session label fits");
+        let record = |owner: &Name, rdata| Record::new(owner.clone(), ttl, rdata);
+        let honey = label(&self.apex, format!("name-{s}"));
+        let sub_apex = label(&self.apex, format!("sub-{s}"));
+        let sub_ns = label(&sub_apex, "ns".into());
+        let farm_under = |parent: &Name| -> Vec<Name> {
+            (1..=farm_size)
+                .map(|i| label(parent, format!("x-{s}-{i}")))
+                .collect()
+        };
+        let (farm, sub_farm) = (farm_under(&self.apex), farm_under(&sub_apex));
 
-        // Main zone: honey A record, CNAME farm, subzone delegation.
-        {
-            let zone = net
-                .server_mut(ZONE_ADDR)
-                .expect("zone server installed")
-                .zone_mut(&self.apex)
-                .expect("apex zone present");
-            zone.add(Record::new(
-                honey.clone(),
-                session_ttl(),
-                RData::A(Ipv4Addr::new(198, 51, 100, 4)),
-            ))
-            .expect("in zone");
-            zone.add(Record::new(
-                sub_apex.clone(),
-                session_ttl(),
-                RData::Ns(sub_ns.clone()),
-            ))
-            .expect("in zone");
-            zone.add(Record::new(
-                sub_ns.clone(),
-                session_ttl(),
-                RData::A(SUB_ADDR),
-            ))
-            .expect("in zone");
-        }
-        let mut farm = Vec::with_capacity(farm_size);
-        for i in 1..=farm_size {
-            let alias = self
-                .apex
-                .prepend_label(format!("x-{s}-{i}"))
-                .expect("session label fits");
-            net.server_mut(ZONE_ADDR)
-                .expect("zone server installed")
-                .zone_mut(&self.apex)
-                .expect("apex zone present")
-                .add(Record::new(
-                    alias.clone(),
-                    session_ttl(),
-                    RData::Cname(honey.clone()),
-                ))
-                .expect("in zone");
-            farm.push(alias);
+        // Main zone: honey A record, subzone delegation, CNAME farm.
+        let zone = net
+            .server_mut(ZONE_ADDR)
+            .and_then(|server| server.zone_mut(&self.apex))
+            .expect("apex zone served");
+        let records = [
+            record(&honey, RData::A(Ipv4Addr::new(198, 51, 100, 4))),
+            record(&sub_apex, RData::Ns(sub_ns.clone())),
+            record(&sub_ns, RData::A(SUB_ADDR)),
+        ];
+        let aliases = farm.iter().map(|a| record(a, RData::Cname(honey.clone())));
+        for r in records.into_iter().chain(aliases) {
+            zone.add(r).expect("in zone");
         }
 
         // Child zone on the sub server.
         let mut sub_zone = Zone::with_soa(sub_apex.clone(), Ttl::from_secs(300));
-        let mut sub_farm = Vec::with_capacity(farm_size);
-        for i in 1..=farm_size {
-            let name = sub_apex
-                .prepend_label(format!("x-{s}-{i}"))
-                .expect("session label fits");
-            sub_zone
-                .add(Record::new(
-                    name.clone(),
-                    session_ttl(),
-                    RData::A(Ipv4Addr::new(198, 51, 100, 5)),
-                ))
-                .expect("in zone");
-            sub_farm.push(name);
+        for name in &sub_farm {
+            let a = RData::A(Ipv4Addr::new(198, 51, 100, 5));
+            sub_zone.add(record(name, a)).expect("in zone");
         }
         net.server_mut(SUB_ADDR)
             .expect("sub server installed")
@@ -254,51 +217,25 @@ impl CdeInfra {
             .expect("session label fits")
     }
 
-    /// The enumeration count ω: queries for `honey` observed at the main
-    /// zone server, counted **per query type** (maximum over types).
-    ///
-    /// Indirect probers trigger several query types per probe (an MTA asks
-    /// TXT, MX and A; §III-B). Each type is cached independently, so each
-    /// type's fetch count is an independent enumeration of the same cache
-    /// bank; the best-covered type is the measurement. For single-type
-    /// probing this is the plain count.
+    /// An [`Observer`] of `session`'s honey and referral fetches.
+    pub fn observer(&self, session: &Session) -> Observer {
+        Observer::watching(Some(session.honey.clone()), Some(session.sub_apex.clone()))
+    }
+
+    /// The enumeration count ω for `honey` (see [`Observer`]), read once.
     pub fn count_honey_fetches(&self, net: &NameserverNet, honey: &Name) -> usize {
-        let Some(server) = net.server(ZONE_ADDR) else {
-            return 0;
-        };
-        let mut per_type: std::collections::HashMap<cde_dns::RecordType, usize> =
-            std::collections::HashMap::new();
-        for e in server.log().iter().filter(|e| &e.qname == honey) {
-            *per_type.entry(e.qtype).or_insert(0) += 1;
-        }
-        per_type.values().copied().max().unwrap_or(0)
+        let mut observer = Observer::watching(Some(honey.clone()), None);
+        observer.update(net).honey_fetches()
     }
 
-    /// Number of queries observed at the main zone server for the
-    /// *delegation* of a session subzone — the names-hierarchy count: each
-    /// cache asks the parent for the subzone's NS exactly once.
+    /// The names-hierarchy count for `session` (see [`Observer`]), read once.
     pub fn count_referral_fetches(&self, net: &NameserverNet, session: &Session) -> usize {
-        net.server(ZONE_ADDR)
-            .map(|s| {
-                s.log()
-                    .iter()
-                    .filter(|e| e.qname.is_subdomain_of(&session.sub_apex))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.observer(session).update(net).referral_fetches()
     }
 
-    /// Distinct egress addresses observed across all infrastructure servers
-    /// since the last log clear.
+    /// Distinct egress addresses at all infrastructure servers, ascending.
     pub fn observed_egress_sources(&self, net: &NameserverNet) -> Vec<Ipv4Addr> {
-        let mut out: Vec<Ipv4Addr> = [ZONE_ADDR, SUB_ADDR, TLD_ADDR, ROOT_ADDR]
-            .iter()
-            .filter_map(|a| net.server(*a))
-            .flat_map(|s| s.log().iter().map(|e| e.from))
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+        Observer::default().update(net).egress_sources().to_vec()
     }
 
     /// EDNS adoption observed at all infrastructure servers since the last
@@ -306,42 +243,115 @@ impl CdeInfra {
     /// the §II-C use case of "measuring adoption of new mechanisms for
     /// DNS, such as the transport layer EDNS mechanism".
     pub fn observed_edns_adoption(&self, net: &NameserverNet) -> (usize, usize) {
-        let mut with = 0;
-        let mut total = 0;
-        for addr in [ZONE_ADDR, SUB_ADDR, TLD_ADDR, ROOT_ADDR] {
-            if let Some(s) = net.server(addr) {
-                for e in s.log() {
-                    total += 1;
-                    if e.edns.is_some() {
-                        with += 1;
-                    }
-                }
-            }
-        }
-        (with, total)
-    }
-
-    /// Timestamps of queries for `honey` (for rate/consistency studies).
-    pub fn honey_fetch_times(&self, net: &NameserverNet, honey: &Name) -> Vec<SimTime> {
-        net.server(ZONE_ADDR)
-            .map(|s| {
-                s.log()
-                    .iter()
-                    .filter(|e| &e.qname == honey)
-                    .map(|e| e.at)
-                    .collect()
-            })
-            .unwrap_or_default()
+        let entries = SERVERS.into_iter().flat_map(|addr| log(net, addr));
+        let with = entries.clone().filter(|e| e.edns.is_some()).count();
+        (with, entries.count())
     }
 
     /// Clears all infrastructure query logs (between measurement phases).
     pub fn clear_observations(&self, net: &mut NameserverNet) {
-        for addr in [ROOT_ADDR, TLD_ADDR, ZONE_ADDR, SUB_ADDR] {
+        for addr in SERVERS {
             if let Some(s) = net.server_mut(addr) {
                 s.clear_log();
             }
         }
     }
+}
+
+/// A running read of the infrastructure's query logs, and the one place
+/// that says what counts as a fetch. It keeps a cursor per server and
+/// folds each new entry once into three tallies: honey fetches at the main
+/// zone server per query type (ω is the maximum over types, since an MTA
+/// asks TXT, MX and A per probe, §III-B, and each type enumerates the
+/// caches on its own); referral fetches, main zone queries under the
+/// session's subzone (§IV-B2b); and the distinct egress sources seen at
+/// any infrastructure server.
+///
+/// Nothing clears a log during an `Observer`'s life. A log shorter than
+/// its cursor means a clear, and the `Observer` starts again from zero,
+/// which is what a rescan would report. [`CdeInfra::observer`] watches a
+/// session; `Observer::default()` tallies egress sources only.
+///
+/// ```
+/// use cde_core::CdeInfra;
+/// use cde_dns::{Question, RecordType};
+/// use cde_platform::NameserverNet;
+///
+/// let mut net = NameserverNet::new();
+/// let mut infra = CdeInfra::install(&mut net);
+/// let session = infra.new_session(&mut net, 0);
+/// let mut observer = infra.observer(&session);
+/// let honey = Question::new(session.honey.clone(), RecordType::A);
+/// for (i, from) in ["192.0.3.1", "192.0.3.2", "192.0.3.2"].iter().enumerate() {
+///     let zone = infra.zone_server_addr();
+///     net.deliver(zone, from.parse().unwrap(), &honey, Default::default());
+///     assert_eq!(observer.update(&net).honey_fetches(), i + 1);
+/// }
+/// assert_eq!(observer.egress_sources().len(), 2);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Observer {
+    honey: Option<Name>,
+    sub_apex: Option<Name>,
+    /// Entries folded so far, per server in [`SERVERS`] order.
+    cursors: [usize; 4],
+    per_qtype: HashMap<RecordType, usize>,
+    referral_fetches: usize,
+    /// Sorted, without duplicates.
+    egress: Vec<Ipv4Addr>,
+}
+
+impl Observer {
+    fn watching(honey: Option<Name>, sub_apex: Option<Name>) -> Observer {
+        Observer {
+            honey,
+            sub_apex,
+            ..Observer::default()
+        }
+    }
+
+    /// Folds the entries logged since the last update.
+    pub fn update(&mut self, net: &NameserverNet) -> &Observer {
+        if (0..4).any(|i| log(net, SERVERS[i]).len() < self.cursors[i]) {
+            *self = Observer::watching(self.honey.take(), self.sub_apex.take());
+        }
+        for (cursor, addr) in self.cursors.iter_mut().zip(SERVERS) {
+            let (log, zone) = (log(net, addr), addr == ZONE_ADDR);
+            for e in &log[*cursor..] {
+                if let Err(at) = self.egress.binary_search(&e.from) {
+                    self.egress.insert(at, e.from);
+                }
+                if zone && self.honey.as_ref() == Some(&e.qname) {
+                    *self.per_qtype.entry(e.qtype).or_insert(0) += 1;
+                }
+                if zone && matches!(&self.sub_apex, Some(s) if e.qname.is_subdomain_of(s)) {
+                    self.referral_fetches += 1;
+                }
+            }
+            *cursor = log.len();
+        }
+        self
+    }
+
+    /// ω: honey fetches at the main zone server, maximum over query types.
+    pub fn honey_fetches(&self) -> usize {
+        self.per_qtype.values().copied().max().unwrap_or(0)
+    }
+
+    /// Main zone queries for names under the session's subzone.
+    pub fn referral_fetches(&self) -> usize {
+        self.referral_fetches
+    }
+
+    /// Distinct egress addresses seen at any server, in ascending order.
+    pub fn egress_sources(&self) -> &[Ipv4Addr] {
+        &self.egress
+    }
+}
+
+/// The query log of the infrastructure server at `addr`.
+fn log(net: &NameserverNet, addr: Ipv4Addr) -> &[QueryLogEntry] {
+    net.server(addr).map_or(&[], |s| s.log())
 }
 
 fn ns_record(owner: &str, host: &str) -> Record {
@@ -364,7 +374,7 @@ fn a_record(owner: &str, addr: Ipv4Addr) -> Record {
 mod tests {
     use super::*;
     use cde_dns::Question;
-    use cde_dns::RecordType;
+    use cde_netsim::SimTime;
 
     #[test]
     fn install_registers_four_servers() {
@@ -484,7 +494,6 @@ mod tests {
         }
         assert_eq!(infra.count_honey_fetches(&net, &s.honey), 3);
         assert_eq!(infra.observed_egress_sources(&net).len(), 3);
-        assert_eq!(infra.honey_fetch_times(&net, &s.honey).len(), 3);
         infra.clear_observations(&mut net);
         assert_eq!(infra.count_honey_fetches(&net, &s.honey), 0);
         assert!(infra.observed_egress_sources(&net).is_empty());

@@ -82,7 +82,7 @@ pub use enumerate::{
     EnumerateOptions, Enumeration, Enumerator, Step, TwoPhaseEnumeration,
 };
 pub use fingerprint::{classify, fingerprint_software, Fingerprint, FingerprintOptions};
-pub use infra::{CdeInfra, Session};
+pub use infra::{CdeInfra, Observer, Session};
 pub use longitudinal::{CapacityChange, EpochMeasurement, PlatformTracker, Timeline};
 pub use mapping::{
     discover_egress, map_ingress_to_clusters, map_ingress_to_clusters_with,

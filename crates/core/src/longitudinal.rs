@@ -10,8 +10,8 @@
 //! but our tool measures two, namely two are down").
 
 use crate::access::AccessChannel;
-use crate::enumerate::{enumerate_identical, EnumerateOptions};
-use crate::infra::CdeInfra;
+use crate::enumerate::{drive, EnumerateOptions};
+use crate::infra::{CdeInfra, Observer};
 use cde_analysis::coupon::query_budget;
 use cde_netsim::{SimDuration, SimTime};
 
@@ -98,18 +98,16 @@ impl PlatformTracker {
     ) -> EpochMeasurement {
         infra.clear_observations(access.net_mut());
         let session = infra.new_session(access.net_mut(), 0);
-        let e = enumerate_identical(
-            access,
-            infra,
-            &session,
-            EnumerateOptions {
-                probes: query_budget(self.n_max, 0.001),
-                redundancy: 1,
-                gap: SimDuration::from_millis(10),
-            },
-            at,
-        );
-        let egress = infra.observed_egress_sources(access.net()).len() as u64;
+        // `enumerate_identical`, keeping its Observer for the egress count.
+        let mut observer = infra.observer(&session);
+        let opts = EnumerateOptions {
+            probes: query_budget(self.n_max, 0.001),
+            redundancy: 1,
+            gap: SimDuration::from_millis(10),
+        };
+        let count = (&mut observer, Observer::honey_fetches);
+        let e = drive(access, opts, None, at, |_| &session.honey, count).enumeration();
+        let egress = observer.update(access.net()).egress_sources().len() as u64;
         let m = EpochMeasurement {
             at,
             caches: e.estimated,

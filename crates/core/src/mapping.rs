@@ -10,7 +10,7 @@
 //! cover the whole egress pool (coupon collector over egress addresses).
 
 use crate::access::{AccessChannel, AccessProvider, DirectAccessProvider};
-use crate::infra::CdeInfra;
+use crate::infra::{CdeInfra, Observer, Session};
 use cde_netsim::{SimDuration, SimTime};
 use cde_platform::{NameserverNet, ResolutionPlatform};
 use cde_probers::DirectProber;
@@ -119,8 +119,8 @@ pub fn map_ingress_to_clusters_with<P: AccessProvider>(
     start: SimTime,
 ) -> IngressMapping {
     let mut clusters: Vec<Vec<Ipv4Addr>> = Vec::new();
-    // For the shared strategy: honey name per cluster, seeded once.
-    let mut cluster_honey: Vec<cde_dns::Name> = Vec::new();
+    // For the shared strategy: honey session per cluster, seeded once.
+    let mut cluster_session: Vec<Session> = Vec::new();
     let mut queries = 0u64;
     let mut now = start;
 
@@ -128,7 +128,7 @@ pub fn map_ingress_to_clusters_with<P: AccessProvider>(
         let mut joined = None;
         for (ci, cluster) in clusters.iter().enumerate() {
             let pivot = cluster[0];
-            let honey = match opts.strategy {
+            let session = match opts.strategy {
                 MappingStrategy::FreshHoneyPerTest => {
                     let mut access = provider.channel(pivot);
                     let session = infra.new_session(access.net_mut(), 0);
@@ -138,18 +138,19 @@ pub fn map_ingress_to_clusters_with<P: AccessProvider>(
                         queries += 1;
                         now += opts.gap;
                     }
-                    session.honey
+                    session
                 }
-                MappingStrategy::SharedHoneyPerPivot => cluster_honey[ci].clone(),
+                MappingStrategy::SharedHoneyPerPivot => cluster_session[ci].clone(),
             };
             let mut access = provider.channel(candidate);
             infra.clear_observations(access.net_mut());
+            let mut observer = infra.observer(&session);
             let mut fetched = false;
             for _ in 0..opts.test_probes {
-                let _ = access.trigger(&honey, now);
+                let _ = access.trigger(&session.honey, now);
                 queries += 1;
                 now += opts.gap;
-                if infra.count_honey_fetches(access.net(), &honey) > 0 {
+                if observer.update(access.net()).honey_fetches() > 0 {
                     fetched = true;
                     break;
                 }
@@ -171,7 +172,7 @@ pub fn map_ingress_to_clusters_with<P: AccessProvider>(
                     queries += 1;
                     now += opts.gap;
                 }
-                cluster_honey.push(session.honey);
+                cluster_session.push(session);
             }
         }
     }
@@ -200,17 +201,34 @@ pub fn discover_egress<A: AccessChannel>(
     probes: u64,
     start: SimTime,
 ) -> EgressDiscovery {
+    let gap = SimDuration::from_millis(20);
+    probe_egress(access, infra, start, gap, probes, |_| false).0
+}
+
+/// The egress loop of both discovery variants: clears the logs, then sends
+/// a fresh nonce every `gap` until `limit` probes are spent or `stop(egress
+/// addresses seen)` holds. Also returns the number of probes delivered.
+pub(crate) fn probe_egress<A: AccessChannel>(
+    access: &mut A,
+    infra: &mut CdeInfra,
+    start: SimTime,
+    gap: SimDuration,
+    limit: u64,
+    mut stop: impl FnMut(usize) -> bool,
+) -> (EgressDiscovery, u64) {
     infra.clear_observations(access.net_mut());
-    let mut now = start;
-    for _ in 0..probes {
+    let mut observer = Observer::default();
+    let (mut probes, mut delivered) = (0, 0);
+    while probes < limit {
         let nonce = infra.fresh_nonce_name();
-        let _ = access.trigger(&nonce, now);
-        now += SimDuration::from_millis(20);
+        delivered += u64::from(access.trigger(&nonce, start + gap * probes).is_delivered());
+        probes += 1;
+        if stop(observer.update(access.net()).egress_sources().len()) {
+            break;
+        }
     }
-    EgressDiscovery {
-        egress_ips: infra.observed_egress_sources(access.net()),
-        probes,
-    }
+    let egress_ips = observer.update(access.net()).egress_sources().to_vec();
+    (EgressDiscovery { egress_ips, probes }, delivered)
 }
 
 /// Ground-truth comparison helper: `true` when the discovered mapping

@@ -22,9 +22,8 @@
 
 use crate::access::AccessChannel;
 use crate::enumerate::{drive, EnumerateOptions, Enumeration};
-use crate::infra::{CdeInfra, Session};
+use crate::infra::{CdeInfra, Observer, Session};
 use cde_netsim::SimTime;
-use cde_platform::NameserverNet;
 
 /// Sequential stopping rule over distinct-cache evidence.
 ///
@@ -236,8 +235,8 @@ pub fn enumerate_sequential<A: AccessChannel>(
 ) -> SequentialEnumeration {
     let span = cde_telemetry::global().begin_campaign("enumerate_sequential", opts.probes);
     let rule = Some(SequentialPlanner::new(epsilon));
-    let honey = |net: &NameserverNet| infra.count_honey_fetches(net, &session.honey) as u64;
-    let machine = drive(access, opts, rule, start, |_| &session.honey, honey);
+    let count = (&mut infra.observer(session), Observer::honey_fetches);
+    let machine = drive(access, opts, rule, start, |_| &session.honey, count);
     let planner = machine.planner().cloned();
     let r = SequentialEnumeration {
         enumeration: machine.enumeration(),

@@ -9,7 +9,7 @@
 use crate::access::{AccessChannel, AccessProvider, DirectAccessProvider};
 use crate::enumerate::{enumerate_identical, EnumerateOptions, Enumeration};
 use crate::infra::CdeInfra;
-use crate::mapping::{map_ingress_to_clusters_with, IngressMapping, MappingOptions};
+use crate::mapping::{map_ingress_to_clusters_with, probe_egress, IngressMapping, MappingOptions};
 use crate::planner::ProbePlan;
 use cde_netsim::{SimDuration, SimTime};
 use cde_platform::{NameserverNet, ResolutionPlatform};
@@ -118,36 +118,22 @@ pub fn discover_egress_adaptive<A: AccessChannel>(
     start: SimTime,
 ) -> Vec<Ipv4Addr> {
     let span = cde_telemetry::global().begin_campaign("discover_egress", 0);
-    infra.clear_observations(access.net_mut());
-    let mut known = 0usize;
-    let mut quiet = 0u64;
-    let mut now = start;
-    let mut probed = 0u64;
+    let (mut known, mut quiet) = (0, 0u64);
+    let quiet_rule = |seen: usize| {
+        quiet = if seen > known { 0 } else { quiet + 1 };
+        known = known.max(seen);
+        // Scale the quiet threshold with the pool discovered so far:
+        // when k of E addresses are known, finding the next takes
+        // ~E/(E−k) probes, so a fixed patience under-covers large
+        // pools (coupon-collector tail).
+        quiet >= patience.max(4 * known as u64)
+    };
     // Bound total work: even enormous pools finish.
-    for _ in 0..100_000u64 {
-        probed += 1;
-        let nonce = infra.fresh_nonce_name();
-        let _ = access.trigger(&nonce, now);
-        now += SimDuration::from_millis(10);
-        let seen = infra.observed_egress_sources(access.net()).len();
-        if seen > known {
-            known = seen;
-            quiet = 0;
-        } else {
-            quiet += 1;
-            // Scale the quiet threshold with the pool discovered so far:
-            // when k of E addresses are known, finding the next takes
-            // ~E/(E−k) probes, so a fixed patience under-covers large
-            // pools (coupon-collector tail).
-            if quiet >= patience.max(4 * known as u64) {
-                break;
-            }
-        }
-    }
-    let egress = infra.observed_egress_sources(access.net());
-    span.note("egress_discovered", egress.len() as u64);
-    span.end(probed, egress.len() as u64, 0);
-    egress
+    let gap = SimDuration::from_millis(10);
+    let (found, delivered) = probe_egress(access, infra, start, gap, 100_000, quiet_rule);
+    span.note("egress_discovered", found.egress_ips.len() as u64);
+    span.end(found.probes, delivered, found.probes - delivered);
+    found.egress_ips
 }
 
 /// Runs the full pipeline against one platform over direct access.
@@ -266,8 +252,9 @@ pub fn validate_survey(survey: &PlatformSurvey, platform: &ResolutionPlatform) -
 mod tests {
     use super::*;
     use crate::access::DirectAccess;
-    use cde_netsim::Link;
+    use cde_netsim::{LatencyModel, Link, LossModel};
     use cde_platform::{PlatformBuilder, SelectorKind};
+    use cde_telemetry::EventKind;
 
     fn ing(d: u8) -> Ipv4Addr {
         Ipv4Addr::new(192, 0, 2, d)
@@ -360,10 +347,15 @@ mod tests {
         assert_eq!(egress, vec![Ipv4Addr::new(192, 0, 3, 1)]);
     }
 
+    /// Held by the tests that install a process-global hub, so one test's
+    /// hub is not replaced while its spans are open.
+    static GLOBAL_HUB: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn survey_emits_campaign_spans_when_hub_installed() {
         // Installs a process-global hub; other tests may emit into it
         // concurrently, so assertions are containment, not equality.
+        let _hub = GLOBAL_HUB.lock().unwrap_or_else(|e| e.into_inner());
         let hub = cde_telemetry::TelemetryHub::new(64 * 1024);
         cde_telemetry::install_global(std::sync::Arc::clone(&hub));
         let mut net = NameserverNet::new();
@@ -408,6 +400,60 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e.kind, cde_telemetry::EventKind::CampaignEnd { .. })),
             "survey spans must close"
+        );
+    }
+
+    #[test]
+    fn egress_span_ends_with_probe_outcomes() {
+        // Over a lossy link some nonce probes time out; the span must end
+        // with delivered + lost = sent, not with the address count.
+        let _hub = GLOBAL_HUB.lock().unwrap_or_else(|e| e.into_inner());
+        let hub = cde_telemetry::TelemetryHub::new(64 * 1024);
+        cde_telemetry::install_global(std::sync::Arc::clone(&hub));
+        let mut net = NameserverNet::new();
+        let mut infra = CdeInfra::install(&mut net);
+        let mut platform = PlatformBuilder::new(77)
+            .ingress(vec![ing(1)])
+            .egress((1..=8).map(|d| Ipv4Addr::new(192, 0, 3, d)).collect())
+            .cluster(2, SelectorKind::Random)
+            .build();
+        let lossy = Link::new(
+            LatencyModel::Constant(SimDuration::from_millis(10)),
+            LossModel::with_rate(0.3),
+        );
+        let mut prober = DirectProber::new(Ipv4Addr::new(203, 0, 113, 1), lossy, 7);
+        let mut access = DirectAccess::new(&mut prober, &mut platform, ing(1), &mut net);
+        let egress = discover_egress_adaptive(&mut access, &mut infra, 8, SimTime::ZERO);
+        assert!(!egress.is_empty());
+        // Other tests may run egress discovery into this hub too, over
+        // ideal links: every span must add up, and one must show loss.
+        let events = hub.drain();
+        let spans: Vec<u32> = events
+            .iter()
+            .filter(|e| {
+                matches!(e.kind, EventKind::CampaignBegin { name, .. } if name == "discover_egress")
+            })
+            .map(|e| e.campaign)
+            .collect();
+        let ends: Vec<(u64, u64, u64)> = events
+            .iter()
+            .filter(|e| spans.contains(&e.campaign))
+            .filter_map(|e| match e.kind {
+                EventKind::CampaignEnd {
+                    completed,
+                    answered,
+                    timeouts,
+                } => Some((completed, answered, timeouts)),
+                _ => None,
+            })
+            .collect();
+        assert!(!ends.is_empty(), "the egress span never ended");
+        for &(completed, answered, timeouts) in &ends {
+            assert_eq!(answered + timeouts, completed, "{ends:?}");
+        }
+        assert!(
+            ends.iter().any(|&(_, _, timeouts)| timeouts > 0),
+            "{ends:?}"
         );
     }
 

@@ -4,7 +4,10 @@
 //! existed are kept below as reference implementations, verbatim except
 //! for `Enumeration::from_counts`, which is gone from the crate (its
 //! arithmetic is now `Enumerator::enumeration`) and is copied here as
-//! `from_counts`. They stay until cde-serve drives the `Enumerator` too.
+//! `from_counts`, and for reading ω through the rescans in `rescan/`
+//! rather than through `CdeInfra`, whose counts now go through the
+//! `Observer` the drivers use: the two sides share no counting code.
+//! They stay until cde-serve drives the `Enumerator` too.
 //! Every case builds two identical seeded worlds, runs the reference
 //! loop in one and the public driver in the other, and asserts:
 //!
@@ -36,6 +39,8 @@ use cde_telemetry::{EventKind, TelemetryHub};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
+mod rescan;
+
 const INGRESS: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 const SIZES: std::ops::RangeInclusive<usize> = 1..=12;
 const REDUNDANCY: std::ops::RangeInclusive<u64> = 1..=3;
@@ -59,7 +64,7 @@ fn from_counts(probes: u64, delivered: u64, observed: u64) -> Enumeration {
 
 fn reference_identical<A: AccessChannel>(
     access: &mut A,
-    infra: &CdeInfra,
+    _infra: &CdeInfra,
     session: &Session,
     opts: EnumerateOptions,
     start: SimTime,
@@ -75,13 +80,13 @@ fn reference_identical<A: AccessChannel>(
         }
         now += opts.gap;
     }
-    let observed = infra.count_honey_fetches(access.net(), &session.honey) as u64;
+    let observed = rescan::count_honey_fetches(access.net(), &session.honey) as u64;
     from_counts(opts.probes, delivered, observed)
 }
 
 fn reference_cname_farm<A: AccessChannel>(
     access: &mut A,
-    infra: &CdeInfra,
+    _infra: &CdeInfra,
     session: &Session,
     opts: EnumerateOptions,
     start: SimTime,
@@ -103,13 +108,13 @@ fn reference_cname_farm<A: AccessChannel>(
         }
         now += opts.gap;
     }
-    let observed = infra.count_honey_fetches(access.net(), &session.honey) as u64;
+    let observed = rescan::count_honey_fetches(access.net(), &session.honey) as u64;
     from_counts(opts.probes, delivered, observed)
 }
 
 fn reference_names_hierarchy<A: AccessChannel>(
     access: &mut A,
-    infra: &CdeInfra,
+    _infra: &CdeInfra,
     session: &Session,
     opts: EnumerateOptions,
     start: SimTime,
@@ -131,13 +136,13 @@ fn reference_names_hierarchy<A: AccessChannel>(
         }
         now += opts.gap;
     }
-    let observed = infra.count_referral_fetches(access.net(), session) as u64;
+    let observed = rescan::count_referral_fetches(access.net(), session) as u64;
     from_counts(opts.probes, delivered, observed)
 }
 
 fn reference_sequential<A: AccessChannel>(
     access: &mut A,
-    infra: &CdeInfra,
+    _infra: &CdeInfra,
     session: &Session,
     opts: EnumerateOptions,
     epsilon: f64,
@@ -159,7 +164,7 @@ fn reference_sequential<A: AccessChannel>(
             }
         }
         now += opts.gap;
-        let observed = infra.count_honey_fetches(access.net(), &session.honey) as u64;
+        let observed = rescan::count_honey_fetches(access.net(), &session.honey) as u64;
         let new_caches = observed.saturating_sub(planner.observed());
         if hit {
             delivered += 1;
@@ -172,7 +177,7 @@ fn reference_sequential<A: AccessChannel>(
             break;
         }
     }
-    let observed = infra.count_honey_fetches(access.net(), &session.honey) as u64;
+    let observed = rescan::count_honey_fetches(access.net(), &session.honey) as u64;
     span.note("observed_caches", observed);
     span.note("stopped_early", stopped_early as u64);
     span.end(spent, delivered, spent - delivered);
