@@ -77,14 +77,19 @@ impl EnumerateOptions {
 /// What an [`Enumerator`] asks its driver to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// Trigger probe `index` up to `copies` times, stopping at the first
-    /// delivered copy, then call [`Enumerator::on_probe`].
+    /// Send probe `index` up to `copies` times, stopping at the first
+    /// delivered copy. A driver with a window above one reports the send
+    /// with [`Enumerator::on_send`]; every driver reports the outcome with
+    /// [`Enumerator::on_probe`], `index` being the probe's token.
     Probe {
         /// Zero-based probe number; the driver maps it to a name.
         index: u64,
         /// Carpet-bombing copies.
         copies: u64,
     },
+    /// Take one completion: the window is full, or the run is closing
+    /// with probes still in flight.
+    Wait,
     /// Read `ω` at the nameserver, then call [`Enumerator::on_count`].
     Count,
     /// The run is over.
@@ -92,69 +97,138 @@ pub enum Step {
 }
 
 /// The counting procedure with no clock and no I/O: it owns the ceiling,
-/// the copies, the stop decision and the tallies, and a driver performs
-/// each [`Step`]. With no planner it is the fixed budget (every probe,
-/// then one count); with a [`SequentialPlanner`] it counts after every
-/// probe and stops once the rule fires or the ceiling is spent.
+/// the copies, the window, the count cadence, the stop decision and the
+/// tallies, and a driver performs each [`Step`]. With no planner it is
+/// the fixed budget (every probe, then a count); with a
+/// [`SequentialPlanner`] it also ends at a count where the rule holds.
+/// [`Enumerator::new`] sends one probe at a time and, with a planner,
+/// counts after every probe; [`Enumerator::windowed`] keeps up to
+/// `window` probes in flight and counts every `cadence` completions.
+///
+/// A count sees the fetches of probes still in flight, so the quiet run
+/// is kept a lower bound on the one per-probe counts would see: every
+/// completion is recorded quiet, a count's new caches restart the run,
+/// and a probe in flight at such a count restarts it again when it
+/// completes, since it may be the one that found them. The run ends only
+/// at a count with nothing in flight, where `ω` is exactly the completed
+/// probes' evidence.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Enumerator {
     ceiling: u64,
     copies: u64,
+    window: u64,
+    /// Completions between counts; 0 counts only when the run closes.
+    cadence: u64,
     planner: Option<SequentialPlanner>,
+    sent: u64,
     spent: u64,
     delivered: u64,
     observed: u64,
-    /// Delivery of the probe whose count the planner still awaits.
-    pending: Option<bool>,
+    /// Completions since the last count.
+    uncounted: u64,
+    /// Probes below this index were in flight at a count that found new
+    /// caches.
+    suspect_below: u64,
     done: bool,
 }
 
 impl Enumerator {
-    /// At most `ceiling` probes of `copies` copies each; `planner` adds
-    /// the sequential stopping rule.
+    /// At most `ceiling` probes of `copies` copies each, one at a time;
+    /// `planner` adds the sequential stopping rule.
     pub fn new(ceiling: u64, copies: u64, planner: Option<SequentialPlanner>) -> Enumerator {
         Enumerator {
             ceiling,
             copies,
+            window: 1,
+            cadence: u64::from(planner.is_some()),
             planner,
             ..Enumerator::default()
         }
     }
 
-    /// The step to perform; the same one until it is reported.
+    /// Keeps up to `window` probes in flight and counts every `cadence`
+    /// completions (0: only when the run closes).
+    pub fn windowed(mut self, window: u64, cadence: u64) -> Enumerator {
+        (self.window, self.cadence) = (window.max(1), cadence);
+        self
+    }
+
+    /// Continues a run whose first `spent` probes are decided, `delivered`
+    /// of them answered, with `ω = observed` counted.
+    pub fn resumed(mut self, spent: u64, delivered: u64, observed: u64) -> Enumerator {
+        (self.sent, self.spent) = (spent, spent);
+        (self.delivered, self.observed) = (delivered, observed);
+        self
+    }
+
+    /// The step to perform; the same one until something is reported.
     pub fn next(&self) -> Step {
+        let in_flight = self.sent - self.spent;
         if self.done {
             Step::Done
-        } else if self.pending.is_some() || self.spent == self.ceiling {
+        } else if (self.closing() && in_flight == 0)
+            || (self.cadence > 0 && self.uncounted >= self.cadence)
+        {
             Step::Count
+        } else if self.closing() || in_flight >= self.window {
+            Step::Wait
         } else {
             Step::Probe {
-                index: self.spent,
+                index: self.sent,
                 copies: self.copies,
             }
         }
     }
 
-    /// Reports a [`Step::Probe`]: `delivered` when any copy was answered.
-    pub fn on_probe(&mut self, delivered: bool) {
-        self.spent += 1;
-        self.delivered += u64::from(delivered);
-        self.pending = self.planner.is_some().then_some(delivered);
+    /// Every probe is sent, or the rule holds on the tallies so far.
+    fn closing(&self) -> bool {
+        self.sent == self.ceiling
+            || self
+                .planner
+                .as_ref()
+                .is_some_and(SequentialPlanner::should_stop)
     }
 
-    /// Reports a [`Step::Count`]: the nameserver's fetch count `ω`.
-    pub fn on_count(&mut self, observed: u64) {
-        self.observed = observed;
-        if let (Some(planner), Some(delivered)) = (&mut self.planner, self.pending.take()) {
-            let new_caches = observed.saturating_sub(planner.observed());
+    /// Reports that probe `index` of a [`Step::Probe`] is in flight.
+    pub fn on_send(&mut self, index: u64) {
+        self.sent = self.sent.max(index + 1);
+    }
+
+    /// Reports probe `index`'s outcome: `delivered` when any copy was
+    /// answered. A probe not reported sent counts as sent.
+    pub fn on_probe(&mut self, index: u64, delivered: bool) {
+        self.on_send(index);
+        self.spent += 1;
+        self.uncounted += 1;
+        self.delivered += u64::from(delivered);
+        if let Some(planner) = &mut self.planner {
             if delivered {
-                planner.record_delivered(new_caches);
+                planner.record_delivered(0);
             } else {
-                planner.record_lost(new_caches);
+                planner.record_lost(0);
             }
-            self.done = planner.should_stop();
+            if index < self.suspect_below {
+                planner.restart(0);
+            }
         }
-        self.done |= self.spent == self.ceiling;
+    }
+
+    /// Reports a [`Step::Count`]: the nameserver's fetch count `ω`. A
+    /// count after the run ended changes nothing.
+    pub fn on_count(&mut self, observed: u64) {
+        if self.done {
+            return;
+        }
+        self.observed = observed;
+        self.uncounted = 0;
+        if let Some(planner) = &mut self.planner {
+            let new_caches = observed.saturating_sub(planner.observed());
+            if new_caches > 0 {
+                planner.restart(new_caches);
+                self.suspect_below = self.sent;
+            }
+        }
+        self.done = self.sent == self.spent && self.closing();
     }
 
     /// The tallies as every variant reports them; `probes` is the number
@@ -198,10 +272,12 @@ pub(crate) fn drive<'n, A: AccessChannel>(
         match machine.next() {
             Step::Probe { index, copies } => {
                 let qname = name(index);
-                machine.on_probe((0..copies).any(|_| access.trigger(qname, now).is_delivered()));
+                let delivered = (0..copies).any(|_| access.trigger(qname, now).is_delivered());
+                machine.on_probe(index, delivered);
                 now += opts.gap;
             }
             Step::Count => machine.on_count(tally(observer.update(access.net())) as u64),
+            Step::Wait => unreachable!("a window of one never waits"),
             Step::Done => return machine,
         }
     }
@@ -600,8 +676,9 @@ mod tests {
             let step = machine.next();
             seen.push(step);
             match step {
-                Step::Probe { .. } => machine.on_probe(true),
+                Step::Probe { index, .. } => machine.on_probe(index, true),
                 Step::Count => machine.on_count(machine.enumeration().probes.min(1)),
+                Step::Wait => unreachable!("a window of one never waits"),
                 Step::Done => return (seen, machine),
             }
         }

@@ -93,6 +93,13 @@ impl SequentialPlanner {
         }
     }
 
+    /// Adds `new_caches` to `ω` and restarts the quiet run without
+    /// recording a probe: evidence a batched count cannot tie to one.
+    pub(crate) fn restart(&mut self, new_caches: u64) {
+        self.omega += new_caches;
+        self.consecutive = 0;
+    }
+
     /// Distinct caches observed so far (`ω`).
     pub fn observed(&self) -> u64 {
         self.omega

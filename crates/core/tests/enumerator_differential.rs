@@ -7,7 +7,7 @@
 //! `from_counts`, and for reading ω through the rescans in `rescan/`
 //! rather than through `CdeInfra`, whose counts now go through the
 //! `Observer` the drivers use: the two sides share no counting code.
-//! They stay until cde-serve drives the `Enumerator` too.
+//! They stay as the simulator drivers' oracle.
 //! Every case builds two identical seeded worlds, runs the reference
 //! loop in one and the public driver in the other, and asserts:
 //!

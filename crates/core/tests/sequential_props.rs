@@ -97,7 +97,7 @@ proptest! {
                 break;
             }
             prop_assert_eq!(machine.next(), Step::Probe { index: i as u64, copies });
-            machine.on_probe(delivered);
+            machine.on_probe(i as u64, delivered);
             prop_assert_eq!(machine.next(), Step::Count);
             omega += new_caches;
             machine.on_count(omega);

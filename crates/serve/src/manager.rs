@@ -10,26 +10,36 @@
 //! channel. The world lock is taken only to open sessions (submission /
 //! resume) and to drain observation evidence at checkpoint time.
 //!
+//! # Counting
+//!
+//! Each campaign's worker steps one [`Enumerator`], the counting loop
+//! the simulator drivers step too, with the campaign's `window` and a
+//! count every `checkpoint_every` completions: `Probe` submits under the
+//! tenant's pacing, `Wait` takes a completion, `Count` is a checkpoint
+//! and `Done` closes the campaign with the `Enumerator`'s tallies.
+//!
 //! # Checkpoint exactness
 //!
 //! Serving-side observations (honey fetches seen by the nameserver) are
 //! drained from the resolver's shared channel **only** inside
-//! `CampaignManager::checkpoint_campaign`: drain → count → write temp
-//! file → atomic rename. Between checkpoints the events stay queued on
-//! the resolver's bounded channel, which survives the death of this
-//! process's transport — a resumed manager's fresh transport drains the
-//! pre-kill remainder. Combined with the counting principle (warm
-//! caches never re-fetch the honey record, so re-probing undecided
-//! indexes cannot inflate the count), `snapshot.observed + count(new
-//! net)` is exact across kill/resume. The only loss window is a crash
-//! *between* the drain and the rename, which is a handful of
-//! microseconds of file IO; see DESIGN.md §6g.
+//! `CampaignManager::checkpoint_campaign`: drain → count through the
+//! campaign's `Observer` → `Enumerator::on_count` → write temp file →
+//! atomic rename, all in one hold of the campaign's lock, so two
+//! checkpoints of one campaign never interleave and a count that ends
+//! the run writes the terminal snapshot. Between checkpoints the events
+//! stay queued on the resolver's bounded channel, which survives the
+//! death of this process's transport — a resumed manager's fresh
+//! transport drains the pre-kill remainder. Combined with the counting
+//! principle (warm caches never re-fetch the honey record, so
+//! re-probing undecided indexes cannot inflate the count),
+//! `snapshot.observed + count(new net)` is exact across kill/resume.
+//! The only loss window is a crash *between* the drain and the rename,
+//! which is a handful of microseconds of file IO; see DESIGN.md §6g.
 
 use crate::campaign::{valid_name, CampaignSpec, CampaignState, CampaignStatus};
 use crate::snapshot::{CampaignSnapshot, ProbeDisposition};
 use crate::tenant::TenantRegistry;
-use cde_analysis::estimators::estimate_cache_count;
-use cde_core::{CdeInfra, ProbePlan, SequentialPlanner, Session};
+use cde_core::{CdeInfra, Enumerator, Observer, ProbePlan, SequentialPlanner, Session, Step};
 use cde_dns::{Rcode, RecordType};
 use cde_engine::rto::EstimatorSnapshot;
 use cde_engine::scheduler::{CampaignReport, Probe, ProbeOutcome};
@@ -41,7 +51,7 @@ use cde_pulse::ExemplarReservoir;
 use cde_telemetry::{CampaignSpan, MetricsRegistry, TelemetryHub};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::net::Ipv4Addr;
@@ -99,67 +109,13 @@ impl ManagerConfig {
 struct Progress {
     state: CampaignState,
     outcomes: Vec<ProbeDisposition>,
-    completed: u64,
-    answered: u64,
-    timeouts: u64,
-    observed: u64,
-    estimated: u64,
-    fully_accounted: bool,
+    /// The counting procedure; its tallies are the campaign's.
+    machine: Enumerator,
+    /// This campaign's read of the serving-side logs, from a cursor.
+    observer: Observer,
     resumed_from: u64,
     checkpoints: u64,
     checkpoint_path: Option<PathBuf>,
-}
-
-/// Sequential-stopping state for one campaign: the planner plus the
-/// high-water marks of the tallies already fed into it, so checkpoint
-/// drains feed only the delta since the previous drain.
-#[derive(Debug)]
-struct PlannerState {
-    planner: SequentialPlanner,
-    fed_answered: u64,
-    fed_timeouts: u64,
-    fed_observed: u64,
-}
-
-impl PlannerState {
-    fn fresh(planner: SequentialPlanner) -> PlannerState {
-        PlannerState {
-            fed_answered: planner.delivered(),
-            fed_timeouts: planner.probes() - planner.delivered(),
-            fed_observed: planner.observed(),
-            planner,
-        }
-    }
-
-    /// Feeds the deltas since the last drain. Evidence is drained in
-    /// batches, so the exact interleaving is unknown; recording the
-    /// quiet events first and attaching all new-cache evidence to the
-    /// *last* event keeps the quiet run a lower bound on reality — the
-    /// rule can only fire later than a per-probe feed would, never
-    /// earlier.
-    fn feed(&mut self, answered: u64, timeouts: u64, observed: u64) {
-        let new_ans = answered.saturating_sub(self.fed_answered);
-        let new_lost = timeouts.saturating_sub(self.fed_timeouts);
-        let new_caches = observed.saturating_sub(self.fed_observed);
-        for i in 0..new_lost {
-            let last = i + 1 == new_lost && new_ans == 0;
-            self.planner.record_lost(if last { new_caches } else { 0 });
-        }
-        for i in 0..new_ans {
-            let last = i + 1 == new_ans;
-            self.planner
-                .record_delivered(if last { new_caches } else { 0 });
-        }
-        if new_ans == 0 && new_lost == 0 && new_caches > 0 {
-            // Evidence with no completion delta: a response was lost but
-            // the query landed. Record it as a lost probe carrying the
-            // evidence so ω stays in sync.
-            self.planner.record_lost(new_caches);
-        }
-        self.fed_answered = answered;
-        self.fed_timeouts = timeouts;
-        self.fed_observed = observed;
-    }
 }
 
 /// One campaign's immutable parameters plus its mutable progress.
@@ -182,25 +138,13 @@ pub(crate) struct CampaignHandle {
     /// Honey fetches accounted by snapshots of *previous* processes;
     /// the live count in this world's net adds on top.
     observed_base: u64,
+    /// Outcomes, `Enumerator` and `Observer` under one lock, which a
+    /// checkpoint holds from its count through the rename.
     progress: Mutex<Progress>,
-    /// Sequential stopping state; `None` runs the fixed plan to
-    /// exhaustion. Fed only at checkpoint drains (the single place
-    /// observation evidence is counted), never on the probe hot path.
-    sequential: Mutex<Option<PlannerState>>,
     cancel: AtomicBool,
     pause: AtomicBool,
     kill: AtomicBool,
     thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl CampaignHandle {
-    /// True once the sequential stopping rule has fired.
-    fn sequential_stopped(&self) -> bool {
-        self.sequential
-            .lock()
-            .as_ref()
-            .is_some_and(|s| s.planner.should_stop())
-    }
 }
 
 /// The multi-tenant campaign daemon core. See the module docs.
@@ -406,14 +350,17 @@ impl CampaignManager {
         let total = farm_size as u64 * redundancy;
         let tenant = self.tenants.intern(&spec.tenant);
         let id = format!("c-{}", self.next_id.fetch_add(1, Ordering::SeqCst));
-        let (session_counter, session) = {
+        let (session_counter, session, observer) = {
             let mut world = self.world.lock();
             let counter_before = world.infra.session_counter();
             let World { transport, infra } = &mut *world;
             let session = infra.new_session(transport.net_mut(), farm_size);
             transport.sync_serving_side();
-            (counter_before, session)
+            let observer = infra.observer(&session);
+            (counter_before, session, observer)
         };
+        let planner = (spec.sequential_epsilon > 0.0)
+            .then(|| SequentialPlanner::new(spec.sequential_epsilon));
         self.tenants.record_campaign(&spec.tenant);
         let camp = Arc::new(CampaignHandle {
             id: id.clone(),
@@ -434,22 +381,12 @@ impl CampaignManager {
             progress: Mutex::new(Progress {
                 state: CampaignState::Running,
                 outcomes: vec![ProbeDisposition::Pending; total as usize],
-                completed: 0,
-                answered: 0,
-                timeouts: 0,
-                observed: 0,
-                estimated: 0,
-                fully_accounted: false,
+                machine: Enumerator::new(total, 1, planner)
+                    .windowed(spec.window as u64, spec.checkpoint_every),
+                observer,
                 resumed_from: 0,
                 checkpoints: 0,
                 checkpoint_path: None,
-            }),
-            sequential: Mutex::new(if spec.sequential_epsilon > 0.0 {
-                Some(PlannerState::fresh(SequentialPlanner::new(
-                    spec.sequential_epsilon,
-                )))
-            } else {
-                None
             }),
             cancel: AtomicBool::new(false),
             pause: AtomicBool::new(false),
@@ -462,9 +399,9 @@ impl CampaignManager {
     }
 
     /// Continues a campaign from its snapshot: restores the session
-    /// counter, re-derives the exact session names, seeds progress from
-    /// the recorded outcomes and spawns a worker that probes only the
-    /// still-undecided indexes.
+    /// counter, re-derives the exact session names, rebuilds the
+    /// `Enumerator` from the outcomes, `observed` and `seqplan` line and
+    /// spawns a worker that probes only the still-undecided indexes.
     pub fn resume(self: &Arc<Self>, snap: CampaignSnapshot) -> io::Result<String> {
         if !snap.resumable() {
             return Err(io::Error::new(
@@ -504,7 +441,7 @@ impl CampaignManager {
         {
             self.next_id.fetch_max(n + 1, Ordering::SeqCst);
         }
-        let session = {
+        let (session, observer) = {
             let mut world = self.world.lock();
             let current = world.infra.session_counter();
             world.infra.restore_session_counter(snap.session_counter);
@@ -514,7 +451,8 @@ impl CampaignManager {
             let after = world.infra.session_counter();
             world.infra.restore_session_counter(current.max(after));
             world.transport.sync_serving_side();
-            session
+            let observer = world.infra.observer(&session);
+            (session, observer)
         };
         let completed = snap
             .outcomes
@@ -546,12 +484,10 @@ impl CampaignManager {
             progress: Mutex::new(Progress {
                 state: CampaignState::Running,
                 outcomes: snap.outcomes,
-                completed,
-                answered,
-                timeouts: completed - answered,
-                observed: snap.observed,
-                estimated: 0,
-                fully_accounted: false,
+                machine: Enumerator::new(total, 1, snap.planner)
+                    .windowed(snap.window as u64, snap.checkpoint_every)
+                    .resumed(completed, answered, snap.observed),
+                observer,
                 resumed_from: completed,
                 checkpoints: snap.seq,
                 checkpoint_path: Some(
@@ -559,7 +495,6 @@ impl CampaignManager {
                         .join(CampaignSnapshot::file_name(&snap.id)),
                 ),
             }),
-            sequential: Mutex::new(snap.planner.map(PlannerState::fresh)),
             cancel: AtomicBool::new(false),
             pause: AtomicBool::new(false),
             kill: AtomicBool::new(false),
@@ -605,20 +540,28 @@ impl CampaignManager {
             .collect()
     }
 
+    /// The campaign's tallies are its `Enumerator`'s; the estimate and
+    /// the accounting check are reported once the campaign is done.
     fn status_of(camp: &CampaignHandle) -> CampaignStatus {
         let progress = camp.progress.lock();
+        let e = progress.machine.enumeration();
+        let done = progress.state == CampaignState::Done;
+        let decided = progress
+            .outcomes
+            .iter()
+            .filter(|d| **d != ProbeDisposition::Pending);
         CampaignStatus {
             id: camp.id.clone(),
             tenant: camp.tenant_name.clone(),
             label: camp.label.clone(),
             state: progress.state,
             total: camp.total,
-            completed: progress.completed,
-            answered: progress.answered,
-            timeouts: progress.timeouts,
-            observed: progress.observed,
-            estimated: progress.estimated,
-            fully_accounted: progress.fully_accounted,
+            completed: e.probes,
+            answered: e.delivered,
+            timeouts: e.probes - e.delivered,
+            observed: e.observed,
+            estimated: if done { e.estimated } else { 0 },
+            fully_accounted: done && decided.count() as u64 == e.probes,
             resumed_from: progress.resumed_from,
             checkpoints: progress.checkpoints,
             checkpoint_path: progress.checkpoint_path.clone(),
@@ -650,11 +593,12 @@ impl CampaignManager {
                 },
             })
             .collect();
+        let e = progress.machine.enumeration();
         Some(CampaignReport {
             outcomes,
-            sent: progress.completed,
-            received: progress.answered,
-            timeouts: progress.timeouts,
+            sent: e.probes,
+            received: e.delivered,
+            timeouts: e.probes - e.delivered,
             retries: 0,
             rate_limit_stalls: 0,
         })
@@ -673,80 +617,67 @@ impl CampaignManager {
         }
     }
 
-    /// Writes a snapshot of campaign `id` right now (the control
-    /// plane's `POST /v1/campaigns/<id>/checkpoint`). Safe to call
-    /// while the worker runs — progress is locked for the copy and the
-    /// file lands atomically.
+    /// Counts and writes a snapshot of campaign `id` right now (the
+    /// control plane's `POST /v1/campaigns/<id>/checkpoint`). Safe to
+    /// call while the worker runs: it takes the same per-campaign lock
+    /// as the worker's own checkpoints.
     pub fn checkpoint_now(&self, id: &str) -> io::Result<PathBuf> {
         let camp = self.find(id).ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("unknown campaign {id}"))
         })?;
-        let state = camp.progress.lock().state;
-        self.checkpoint_campaign(&camp, state)
+        self.checkpoint_campaign(&camp, None)
     }
 
-    /// Drains observation evidence, counts this campaign's honey
-    /// fetches and writes its snapshot atomically. The single place
-    /// observations are consumed — see the module docs.
+    /// A [`Step::Count`] and its snapshot, in one hold of the campaign's
+    /// lock: drain the serving-side observations, count this campaign's
+    /// honey fetches through its `Observer`, report them to its
+    /// `Enumerator`, then write the snapshot atomically. The single
+    /// place observations are consumed — see the module docs. A count
+    /// that ends the run writes the terminal snapshot; `stop` is the
+    /// state a cancel or pause ends in.
     fn checkpoint_campaign(
         &self,
         camp: &CampaignHandle,
-        state: CampaignState,
+        stop: Option<CampaignState>,
     ) -> io::Result<PathBuf> {
-        let observed = {
+        let mut guard = camp.progress.lock();
+        let progress = &mut *guard;
+        let fetches = {
             let mut world = self.world.lock();
             world.transport.drain_serving_observations();
-            let World { transport, infra } = &mut *world;
-            camp.observed_base
-                + infra.count_honey_fetches(transport.net(), &camp.session.honey) as u64
+            progress
+                .observer
+                .update(world.transport.net())
+                .honey_fetches() as u64
         };
-        // Feed the sequential planner the tallies gathered since the
-        // previous drain — this is the only place fresh distinct-cache
-        // evidence becomes visible, so it is also where stopping
-        // decisions advance.
-        let planner = {
-            let (answered, timeouts) = {
-                let progress = camp.progress.lock();
-                (progress.answered, progress.timeouts)
-            };
-            let mut sequential = camp.sequential.lock();
-            sequential.as_mut().map(|state| {
-                state.feed(answered, timeouts, observed);
-                state.planner.clone()
-            })
-        };
-        let rto = self
-            .rto
-            .as_ref()
-            .map(|table| table.snapshots())
-            .unwrap_or_default();
-        let snap;
-        {
-            let mut progress = camp.progress.lock();
-            progress.observed = observed;
-            progress.checkpoints += 1;
-            snap = CampaignSnapshot {
-                id: camp.id.clone(),
-                tenant: camp.tenant_name.clone(),
-                weight: self.tenants.weight(&camp.tenant_name).unwrap_or(1.0),
-                label: camp.label.clone(),
-                state,
-                ingress: camp.ingress,
-                farm_size: camp.farm_size,
-                redundancy: camp.redundancy,
-                window: camp.window,
-                checkpoint_every: camp.checkpoint_every,
-                session_counter: camp.session_counter,
-                plan: camp.plan,
-                observed,
-                seq: progress.checkpoints,
-                outcomes: progress.outcomes.clone(),
-                rto,
-                planner,
-            };
+        progress.machine.on_count(camp.observed_base + fetches);
+        if let Some(state) = stop {
+            progress.state = state;
+        } else if progress.machine.next() == Step::Done {
+            progress.state = CampaignState::Done;
         }
+        progress.checkpoints += 1;
+        let snap = CampaignSnapshot {
+            id: camp.id.clone(),
+            tenant: camp.tenant_name.clone(),
+            weight: self.tenants.weight(&camp.tenant_name).unwrap_or(1.0),
+            label: camp.label.clone(),
+            state: progress.state,
+            ingress: camp.ingress,
+            farm_size: camp.farm_size,
+            redundancy: camp.redundancy,
+            window: camp.window,
+            checkpoint_every: camp.checkpoint_every,
+            session_counter: camp.session_counter,
+            plan: camp.plan,
+            observed: progress.machine.enumeration().observed,
+            seq: progress.checkpoints,
+            outcomes: progress.outcomes.clone(),
+            rto: self.rto_snapshots(),
+            planner: progress.machine.planner().cloned(),
+        };
         let path = snap.write_to(&self.checkpoint_dir)?;
-        camp.progress.lock().checkpoint_path = Some(path.clone());
+        progress.checkpoint_path = Some(path.clone());
         Ok(path)
     }
 
@@ -834,10 +765,7 @@ fn advance_notes(span: &CampaignSpan, outcomes: &[ProbeDisposition], emit_cursor
 fn paced_sleep(camp: &CampaignHandle, wait: Duration) {
     let deadline = Instant::now() + wait;
     loop {
-        if camp.cancel.load(Ordering::SeqCst)
-            || camp.pause.load(Ordering::SeqCst)
-            || camp.kill.load(Ordering::SeqCst)
-        {
+        if halted(camp) {
             return;
         }
         let now = Instant::now();
@@ -852,31 +780,32 @@ fn record_outcome(
     mgr: &CampaignManager,
     camp: &CampaignHandle,
     span: &CampaignSpan,
-    idx: usize,
+    (slot, index): (usize, u64),
     answered: bool,
     emit_cursor: &mut usize,
 ) {
     let mut progress = camp.progress.lock();
-    if progress.outcomes[idx] != ProbeDisposition::Pending {
-        return; // duplicate completion; first one wins
-    }
-    progress.outcomes[idx] = if answered {
+    progress.outcomes[slot] = if answered {
         ProbeDisposition::Answered
     } else {
         ProbeDisposition::TimedOut
     };
-    progress.completed += 1;
+    progress.machine.on_probe(index, answered);
     if answered {
-        progress.answered += 1;
         mgr.tenants.record_answered(&camp.tenant_name);
-    } else {
-        progress.timeouts += 1;
     }
     advance_notes(span, &progress.outcomes, emit_cursor);
 }
 
-/// The campaign worker: weighted pacing, sliding-window submission over
-/// the shared reactor, deterministic span events, periodic checkpoints.
+/// True once the campaign was asked to stop or die.
+fn halted(camp: &CampaignHandle) -> bool {
+    camp.cancel.load(Ordering::SeqCst)
+        || camp.pause.load(Ordering::SeqCst)
+        || camp.kill.load(Ordering::SeqCst)
+}
+
+/// The campaign worker: steps the campaign's `Enumerator` (see the
+/// module docs) and emits deterministic span events.
 fn run_worker(mgr: &Arc<CampaignManager>, camp: &Arc<CampaignHandle>) {
     let span = mgr.hub.begin_campaign("serve_campaign", camp.total);
     span.tenant(camp.tenant);
@@ -886,101 +815,72 @@ fn run_worker(mgr: &Arc<CampaignManager>, camp: &Arc<CampaignHandle>) {
     advance_notes(&span, &camp.progress.lock().outcomes, &mut emit_cursor);
 
     let (done_tx, done_rx) = unbounded();
-    let total = camp.total as usize;
-    let mut in_flight: HashSet<usize> = HashSet::new();
-    let mut next_submit = 0usize;
+    // Outcome slot → the `Enumerator`'s token for the probe in it.
+    let mut in_flight: HashMap<usize, u64> = HashMap::new();
+    let mut next_slot = 0usize;
     let mut completions_this_run = 0u64;
     let mut last_activity = Instant::now();
 
     loop {
-        if camp.kill.load(Ordering::SeqCst) {
+        let step = camp.progress.lock().machine.next();
+        let died = camp.kill_after.is_some_and(|k| completions_this_run >= k);
+        if camp.kill.load(Ordering::SeqCst) || (died && step != Step::Count) {
             // Abrupt abandonment: no checkpoint, no final notes. The
             // span's Drop emits campaign_end with last-known tallies.
             camp.progress.lock().state = CampaignState::Killed;
             return;
         }
         let stopping = camp.cancel.load(Ordering::SeqCst) || camp.pause.load(Ordering::SeqCst);
-        // The sequential rule only advances at checkpoint drains, so
-        // `converged` flips between iterations, never mid-submission.
-        let converged = camp.sequential_stopped();
-        if !stopping && !converged {
-            while in_flight.len() < camp.window && next_submit < total {
-                if camp.progress.lock().outcomes[next_submit] != ProbeDisposition::Pending {
-                    next_submit += 1; // restored from snapshot; skip
+        match step {
+            Step::Done => return finalize(camp, span),
+            Step::Count => {
+                let _ = mgr.checkpoint_campaign(camp, None);
+                continue;
+            }
+            Step::Probe { .. } if !stopping => {
+                paced_sleep(camp, mgr.limiter.debit_n(camp.tenant, 1));
+                let mut progress = camp.progress.lock();
+                let Step::Probe { index, .. } = progress.machine.next() else {
+                    continue;
+                };
+                if halted(camp) {
                     continue;
                 }
-                let wait = mgr.limiter.debit_n(camp.tenant, 1);
-                if !wait.is_zero() {
-                    paced_sleep(camp, wait);
-                    if camp.cancel.load(Ordering::SeqCst)
-                        || camp.pause.load(Ordering::SeqCst)
-                        || camp.kill.load(Ordering::SeqCst)
-                    {
-                        break;
-                    }
+                // Slots decided before a resume are skipped.
+                while progress.outcomes[next_slot] != ProbeDisposition::Pending {
+                    next_slot += 1;
                 }
+                progress.machine.on_send(index);
+                drop(progress);
+                let slot = next_slot;
+                next_slot += 1;
                 mgr.tenants.record_probe(&camp.tenant_name);
-                let qname = camp.session.farm[next_submit % camp.session.farm.len()].clone();
-                if mgr.handle.submit(
-                    next_submit as u64,
-                    camp.ingress,
-                    qname,
-                    RecordType::A,
-                    &done_tx,
-                ) {
-                    in_flight.insert(next_submit);
+                let qname = camp.session.farm[slot % camp.session.farm.len()].clone();
+                if mgr
+                    .handle
+                    .submit(slot as u64, camp.ingress, qname, RecordType::A, &done_tx)
+                {
+                    in_flight.insert(slot, index);
                     last_activity = Instant::now();
                 } else {
                     // Reactor gone: the probe can never run.
-                    record_outcome(mgr, camp, &span, next_submit, false, &mut emit_cursor);
+                    record_outcome(mgr, camp, &span, (slot, index), false, &mut emit_cursor);
                     completions_this_run += 1;
                 }
-                next_submit += 1;
+                continue;
             }
-        }
-
-        let completed = camp.progress.lock().completed;
-        if completed >= camp.total {
-            finalize(mgr, camp, span);
-            return;
-        }
-        if converged && !stopping && in_flight.is_empty() {
-            // The exact-count criterion holds: end the campaign with the
-            // undecided remainder unspent.
-            finalize(mgr, camp, span);
-            return;
-        }
-        if stopping && in_flight.is_empty() {
-            stop(mgr, camp, span);
-            return;
+            _ if stopping && in_flight.is_empty() => return stop(mgr, camp, span),
+            _ => {}
         }
 
         match done_rx.recv_timeout(POLL) {
             Ok(completion) => {
-                let idx = completion.token as usize;
-                if in_flight.remove(&idx) {
-                    record_outcome(
-                        mgr,
-                        camp,
-                        &span,
-                        idx,
-                        completion.reply.is_answered(),
-                        &mut emit_cursor,
-                    );
+                let slot = completion.token as usize;
+                if let Some(index) = in_flight.remove(&slot) {
+                    let answered = completion.reply.is_answered();
+                    record_outcome(mgr, camp, &span, (slot, index), answered, &mut emit_cursor);
                     completions_this_run += 1;
                     last_activity = Instant::now();
-                    let completed_now = camp.progress.lock().completed;
-                    #[allow(clippy::manual_is_multiple_of)]
-                    // u64::is_multiple_of needs 1.87, MSRV is 1.81
-                    if camp.checkpoint_every > 0
-                        && completed_now % camp.checkpoint_every == 0
-                        && completed_now < camp.total
-                    {
-                        let _ = mgr.checkpoint_campaign(camp, CampaignState::Running);
-                    }
-                    if camp.kill_after.is_some_and(|k| completions_this_run >= k) {
-                        camp.kill.store(true, Ordering::SeqCst);
-                    }
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -988,8 +888,8 @@ fn run_worker(mgr: &Arc<CampaignManager>, camp: &Arc<CampaignHandle>) {
                     // The reactor stopped delivering: account every
                     // outstanding probe as a timeout so the campaign
                     // still finishes fully-accounted.
-                    for idx in in_flight.drain() {
-                        record_outcome(mgr, camp, &span, idx, false, &mut emit_cursor);
+                    for probe in in_flight.drain() {
+                        record_outcome(mgr, camp, &span, probe, false, &mut emit_cursor);
                         completions_this_run += 1;
                     }
                 }
@@ -999,41 +899,19 @@ fn run_worker(mgr: &Arc<CampaignManager>, camp: &Arc<CampaignHandle>) {
     }
 }
 
-/// Terminal path for a completed campaign: final evidence drain,
-/// estimate, terminal snapshot, deterministic closing notes.
-fn finalize(mgr: &Arc<CampaignManager>, camp: &Arc<CampaignHandle>, span: CampaignSpan) {
-    let _ = mgr.checkpoint_campaign(camp, CampaignState::Done);
-    let (completed, answered, timeouts, observed, estimated, fully_accounted);
-    {
-        let report = mgr.report(&camp.id).expect("own campaign");
-        let sequential = camp.sequential.lock().is_some();
-        let mut progress = camp.progress.lock();
-        // A sequentially stopped campaign intentionally leaves the
-        // remainder unspent: accounting and the estimate run over the
-        // probes actually decided, not the budget ceiling.
-        let spent = if sequential {
-            progress.completed
-        } else {
-            camp.total
-        };
-        progress.fully_accounted = report.fully_accounted(spent as usize);
-        let clamped = progress.observed.min(spent.max(1));
-        progress.estimated = estimate_cache_count(clamped, spent.max(1));
-        progress.state = CampaignState::Done;
-        completed = progress.completed;
-        answered = progress.answered;
-        timeouts = progress.timeouts;
-        observed = clamped;
-        estimated = progress.estimated;
-        fully_accounted = progress.fully_accounted;
-    }
-    if completed < camp.total {
+/// [`Step::Done`]: the count that ended the run wrote the terminal
+/// snapshot; close the span with the `Enumerator`'s tallies. A
+/// sequentially stopped campaign leaves the remainder unspent, so the
+/// estimate runs over the probes actually decided.
+fn finalize(camp: &CampaignHandle, span: CampaignSpan) {
+    let status = CampaignManager::status_of(camp);
+    if status.completed < camp.total {
         span.note("stopped_early", 1);
     }
-    span.note("observed", observed);
-    span.note("estimated", estimated);
-    span.note("fully_accounted", u64::from(fully_accounted));
-    span.end(completed, answered, timeouts);
+    span.note("observed", status.observed.min(status.completed.max(1)));
+    span.note("estimated", status.estimated);
+    span.note("fully_accounted", u64::from(status.fully_accounted));
+    span.end(status.completed, status.answered, status.timeouts);
 }
 
 /// Terminal path for a cancelled or paused campaign: drain already
@@ -1045,14 +923,7 @@ fn stop(mgr: &Arc<CampaignManager>, camp: &Arc<CampaignHandle>, span: CampaignSp
     } else {
         CampaignState::Paused
     };
-    let _ = mgr.checkpoint_campaign(camp, state);
-    let (completed, answered, timeouts);
-    {
-        let mut progress = camp.progress.lock();
-        progress.state = state;
-        completed = progress.completed;
-        answered = progress.answered;
-        timeouts = progress.timeouts;
-    }
-    span.end(completed, answered, timeouts);
+    let _ = mgr.checkpoint_campaign(camp, Some(state));
+    let status = CampaignManager::status_of(camp);
+    span.end(status.completed, status.answered, status.timeouts);
 }

@@ -1,8 +1,8 @@
 //! A checkpoint whose `seqplan` line holds a planner state no run can
 //! reach (more delivered probes than probes, or a quiet run longer than
 //! the delivered probes) is refused on `--resume` with `InvalidData`.
-//! Accepting it would break the resumed tally: the manager derives the
-//! timeouts already fed as `probes - delivered`.
+//! Accepting it would resume an `Enumerator` whose planner disagrees
+//! with the recorded outcomes it is rebuilt from.
 
 use cde_core::{CdeInfra, ProbePlan, SequentialPlanner};
 use cde_engine::{LiveTestbed, ReactorConfig, ResolverConfig, RetryPolicy};

@@ -21,7 +21,8 @@ use cde_faults::FaultPlan;
 use cde_netsim::{seed_from_env, SeedGuard};
 use cde_platform::{NameserverNet, PlatformBuilder, ResolutionPlatform, SelectorKind};
 use cde_serve::{
-    CampaignManager, CampaignSnapshot, CampaignSpec, CampaignState, ManagerConfig, World,
+    CampaignManager, CampaignSnapshot, CampaignSpec, CampaignState, ManagerConfig,
+    ProbeDisposition, World,
 };
 use cde_telemetry::TelemetryHub;
 use std::net::Ipv4Addr;
@@ -281,4 +282,76 @@ fn graceful_shutdown_pauses_and_resumes_cleanly() {
     assert_eq!(status.state, CampaignState::Done, "seed {seed}");
     assert!(status.fully_accounted, "seed {seed}: {status:?}");
     assert_eq!(status.estimated, CACHES as u64, "seed {seed}: {status:?}");
+}
+
+/// A sequential campaign killed mid-run under bursty loss resumes from
+/// its checkpoint's outcomes and `seqplan` line, stops early at the
+/// planted count, and its terminal planner has recorded exactly the
+/// decided probes.
+#[test]
+fn killed_sequential_campaign_resumes_to_the_exact_count() {
+    let seed = 4242;
+    let dir = fresh_dir("kill-resume-seq");
+    let (platform, net, infra) = build_world(seed);
+    let testbed = LiveTestbed::launch(platform, net, ResolverConfig::default()).unwrap();
+    let spec = CampaignSpec {
+        tenant: "chaos".into(),
+        label: "kill-resume-seq".into(),
+        caches_hint: CACHES as u64,
+        loss_hint: 0.25,
+        farm_size: 256,
+        redundancy: 1,
+        window: 8,
+        checkpoint_every: 8,
+        kill_after: Some(20),
+        sequential_epsilon: 1e-4,
+        ..CampaignSpec::default()
+    };
+    let life = |dir: PathBuf| {
+        let transport = testbed.reactor_transport(chaos_config(seed)).unwrap();
+        let world = World {
+            transport,
+            infra: infra.clone(),
+        };
+        CampaignManager::new(world, manager_config(dir))
+    };
+    let manager = life(dir.clone());
+    let id = manager.submit(spec).unwrap();
+    assert!(manager.join(&id));
+    let killed = manager.status(&id).unwrap();
+    assert_eq!(killed.state, CampaignState::Killed, "{killed:?}");
+    drop(manager);
+
+    let manager = life(dir.clone());
+    assert_eq!(manager.resume_all().unwrap(), vec![id.clone()]);
+    assert!(manager.join(&id));
+    let status = manager.status(&id).unwrap();
+    assert_eq!(status.state, CampaignState::Done, "{status:?}");
+    assert!(status.resumed_from > 0, "{status:?}");
+    assert!(
+        status.completed < status.total,
+        "must stop early: {status:?}"
+    );
+    assert!(status.fully_accounted, "{status:?}");
+    assert_eq!(status.observed, CACHES as u64, "{status:?}");
+    assert_eq!(status.estimated, CACHES as u64, "{status:?}");
+
+    let snapshots = CampaignSnapshot::load_dir(&dir).unwrap();
+    let last = &snapshots[0];
+    assert_eq!(last.state, CampaignState::Done);
+    let planner = last
+        .planner
+        .clone()
+        .expect("terminal checkpoint carries the planner");
+    let decided = last
+        .outcomes
+        .iter()
+        .filter(|d| **d != ProbeDisposition::Pending);
+    let answered = last
+        .outcomes
+        .iter()
+        .filter(|d| **d == ProbeDisposition::Answered);
+    assert_eq!(planner.probes(), decided.count() as u64, "{planner:?}");
+    assert_eq!(planner.delivered(), answered.count() as u64, "{planner:?}");
+    assert!(planner.should_stop(), "{planner:?}");
 }
