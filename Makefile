@@ -60,7 +60,7 @@ benchmark-smoke:
 	bash benchmark/run.sh --only chain_flood --seconds 4
 	bash benchmark/run.sh --only lossy_count --seconds 4
 
-# Both chaos suites: the hermetic FaultyTransport tests and the live
+# Both chaos suites: the hermetic FaultyAccess tests and the live
 # loopback reactor fault-layer tests. Override the seed with
 # CDE_CHAOS_SEED=<n>; failures print the seed to replay.
 chaos:

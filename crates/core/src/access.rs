@@ -200,68 +200,6 @@ impl AccessChannel for AdNetAccess<'_> {
     }
 }
 
-/// A factory handing out one [`AccessChannel`] per ingress address.
-///
-/// Multi-ingress pipelines (ingress→cluster mapping, whole-platform
-/// surveys) interleave probes through *different* ingress addresses of the
-/// same platform. A provider owns whatever state those channels share —
-/// the prober, the platform handle, the authoritative net or a live
-/// transport — and lends out short-lived channels aimed at one ingress at
-/// a time, so the pipelines can be written once and run over simulated or
-/// wire-level backends alike.
-pub trait AccessProvider {
-    /// The channel type lent out, borrowing from the provider.
-    type Channel<'a>: AccessChannel
-    where
-        Self: 'a;
-
-    /// Opens a channel probing `ingress`.
-    fn channel(&mut self, ingress: Ipv4Addr) -> Self::Channel<'_>;
-}
-
-/// [`AccessProvider`] over direct probing of a simulated platform — the
-/// provider counterpart of [`DirectAccess`].
-#[derive(Debug)]
-pub struct DirectAccessProvider<'w> {
-    prober: &'w mut DirectProber,
-    platform: &'w mut ResolutionPlatform,
-    net: &'w mut NameserverNet,
-    qtype: RecordType,
-}
-
-impl<'w> DirectAccessProvider<'w> {
-    /// Creates a provider probing `platform` with A queries.
-    pub fn new(
-        prober: &'w mut DirectProber,
-        platform: &'w mut ResolutionPlatform,
-        net: &'w mut NameserverNet,
-    ) -> DirectAccessProvider<'w> {
-        DirectAccessProvider {
-            prober,
-            platform,
-            net,
-            qtype: RecordType::A,
-        }
-    }
-}
-
-impl AccessProvider for DirectAccessProvider<'_> {
-    type Channel<'a>
-        = DirectAccess<'a>
-    where
-        Self: 'a;
-
-    fn channel(&mut self, ingress: Ipv4Addr) -> DirectAccess<'_> {
-        DirectAccess {
-            prober: self.prober,
-            platform: self.platform,
-            ingress,
-            net: self.net,
-            qtype: self.qtype,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,10 +72,7 @@ pub mod sequential;
 pub mod survey;
 pub mod timing;
 
-pub use access::{
-    AccessChannel, AccessProvider, AdNetAccess, DirectAccess, DirectAccessProvider, SmtpAccess,
-    TriggerOutcome,
-};
+pub use access::{AccessChannel, AdNetAccess, DirectAccess, SmtpAccess, TriggerOutcome};
 pub use consistency::{audit_ttl_consistency, ConsistencyOptions, ConsistencyReport, TtlVerdict};
 pub use enumerate::{
     enumerate_cname_farm, enumerate_identical, enumerate_names_hierarchy, enumerate_two_phase,
@@ -85,8 +82,8 @@ pub use fingerprint::{classify, fingerprint_software, Fingerprint, FingerprintOp
 pub use infra::{CdeInfra, Observer, Session};
 pub use longitudinal::{CapacityChange, EpochMeasurement, PlatformTracker, Timeline};
 pub use mapping::{
-    discover_egress, map_ingress_to_clusters, map_ingress_to_clusters_with,
-    mapping_matches_ground_truth, EgressDiscovery, IngressMapping, MappingOptions, MappingStrategy,
+    discover_egress, map_ingress_to_clusters, mapping_matches_ground_truth, EgressDiscovery,
+    IngressMapping, MappingOptions, MappingStrategy,
 };
 pub use planner::{measure_loss, ProbePlan};
 pub use resilience::{
@@ -95,8 +92,8 @@ pub use resilience::{
 };
 pub use sequential::{enumerate_sequential, SequentialEnumeration, SequentialPlanner};
 pub use survey::{
-    discover_egress_adaptive, enumerate_adaptive, survey_platform, survey_platform_with,
-    validate_survey, PlatformSurvey, SurveyOptions,
+    discover_egress_adaptive, enumerate_adaptive, survey_platform, validate_survey, PlatformSurvey,
+    SurveyOptions,
 };
 pub use timing::{
     calibrate, enumerate_via_timing, CalibrationError, TimingCalibration, TimingEnumeration,

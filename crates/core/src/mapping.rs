@@ -9,7 +9,7 @@
 //! source addresses arriving at the CDE nameservers; repeated experiments
 //! cover the whole egress pool (coupon collector over egress addresses).
 
-use crate::access::{AccessChannel, AccessProvider, DirectAccessProvider};
+use crate::access::{AccessChannel, DirectAccess};
 use crate::infra::{CdeInfra, Observer, Session};
 use cde_netsim::{SimDuration, SimTime};
 use cde_platform::{NameserverNet, ResolutionPlatform};
@@ -90,29 +90,13 @@ impl IngressMapping {
 /// Maps every ingress address of `platform` to a cache cluster using the
 /// honey-record procedure.
 ///
-/// Requires direct access (the prober must choose which ingress address to
-/// query). Convenience wrapper over [`map_ingress_to_clusters_with`].
+/// Requires direct access: the prober must choose which ingress address
+/// to query, so each seeding and test round opens a [`DirectAccess`] on
+/// the address it needs.
 pub fn map_ingress_to_clusters(
     prober: &mut DirectProber,
     platform: &mut ResolutionPlatform,
     net: &mut NameserverNet,
-    infra: &mut CdeInfra,
-    ingress: &[Ipv4Addr],
-    opts: MappingOptions,
-    start: SimTime,
-) -> IngressMapping {
-    let mut provider = DirectAccessProvider::new(prober, platform, net);
-    map_ingress_to_clusters_with(&mut provider, infra, ingress, opts, start)
-}
-
-/// Maps ingress addresses to cache clusters through any access backend.
-///
-/// The provider lends a channel per ingress address; everything else —
-/// honey seeding, cross-ingress testing, the observation reads — goes
-/// through the channel, so this runs identically over the simulator and
-/// over a live wire-level transport.
-pub fn map_ingress_to_clusters_with<P: AccessProvider>(
-    provider: &mut P,
     infra: &mut CdeInfra,
     ingress: &[Ipv4Addr],
     opts: MappingOptions,
@@ -130,7 +114,7 @@ pub fn map_ingress_to_clusters_with<P: AccessProvider>(
             let pivot = cluster[0];
             let session = match opts.strategy {
                 MappingStrategy::FreshHoneyPerTest => {
-                    let mut access = provider.channel(pivot);
+                    let mut access = DirectAccess::new(prober, platform, pivot, net);
                     let session = infra.new_session(access.net_mut(), 0);
                     // Seed via pivot.
                     for _ in 0..opts.seeds_per_pivot {
@@ -142,7 +126,7 @@ pub fn map_ingress_to_clusters_with<P: AccessProvider>(
                 }
                 MappingStrategy::SharedHoneyPerPivot => cluster_session[ci].clone(),
             };
-            let mut access = provider.channel(candidate);
+            let mut access = DirectAccess::new(prober, platform, candidate, net);
             infra.clear_observations(access.net_mut());
             let mut observer = infra.observer(&session);
             let mut fetched = false;
@@ -165,7 +149,7 @@ pub fn map_ingress_to_clusters_with<P: AccessProvider>(
             None => {
                 // New cluster pivoted at `candidate`.
                 clusters.push(vec![candidate]);
-                let mut access = provider.channel(candidate);
+                let mut access = DirectAccess::new(prober, platform, candidate, net);
                 let session = infra.new_session(access.net_mut(), 0);
                 for _ in 0..opts.seeds_per_pivot {
                     let _ = access.trigger(&session.honey, now);

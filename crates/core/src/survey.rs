@@ -6,10 +6,10 @@
 //! in total, and the discovered egress addresses. The pipeline never reads
 //! platform ground truth; validation code compares afterwards.
 
-use crate::access::{AccessChannel, AccessProvider, DirectAccessProvider};
+use crate::access::{AccessChannel, DirectAccess};
 use crate::enumerate::{enumerate_identical, EnumerateOptions, Enumeration};
 use crate::infra::CdeInfra;
-use crate::mapping::{map_ingress_to_clusters_with, probe_egress, IngressMapping, MappingOptions};
+use crate::mapping::{map_ingress_to_clusters, probe_egress, IngressMapping, MappingOptions};
 use crate::planner::ProbePlan;
 use cde_netsim::{SimDuration, SimTime};
 use cde_platform::{NameserverNet, ResolutionPlatform};
@@ -137,28 +137,10 @@ pub fn discover_egress_adaptive<A: AccessChannel>(
 }
 
 /// Runs the full pipeline against one platform over direct access.
-///
-/// Convenience wrapper over [`survey_platform_with`].
 pub fn survey_platform(
     prober: &mut DirectProber,
     platform: &mut ResolutionPlatform,
     net: &mut NameserverNet,
-    infra: &mut CdeInfra,
-    ingress: &[Ipv4Addr],
-    opts: &SurveyOptions,
-    start: SimTime,
-) -> PlatformSurvey {
-    let mut provider = DirectAccessProvider::new(prober, platform, net);
-    survey_platform_with(&mut provider, infra, ingress, opts, start)
-}
-
-/// Runs the full survey pipeline through any access backend.
-///
-/// This is the backend-generic entry point: handed a provider over the
-/// simulator it reproduces [`survey_platform`] exactly; handed one over a
-/// live transport it runs the same technique against real sockets.
-pub fn survey_platform_with<P: AccessProvider>(
-    provider: &mut P,
     infra: &mut CdeInfra,
     ingress: &[Ipv4Addr],
     opts: &SurveyOptions,
@@ -170,7 +152,7 @@ pub fn survey_platform_with<P: AccessProvider>(
     // seed honey records proportionally to the real cache count —
     // under-seeding would leave caches uncovered and false-split clusters.
     let pre = {
-        let mut access = provider.channel(ingress[0]);
+        let mut access = DirectAccess::new(prober, platform, ingress[0], net);
         enumerate_adaptive(&mut access, infra, opts, start)
     };
     let mut mapping_opts = opts.mapping;
@@ -178,7 +160,7 @@ pub fn survey_platform_with<P: AccessProvider>(
 
     // 1. Group ingress addresses into cache clusters.
     let mapping = if ingress.len() > 1 {
-        map_ingress_to_clusters_with(provider, infra, ingress, mapping_opts, start)
+        map_ingress_to_clusters(prober, platform, net, infra, ingress, mapping_opts, start)
     } else {
         IngressMapping {
             clusters: vec![vec![ingress[0]]],
@@ -191,14 +173,14 @@ pub fn survey_platform_with<P: AccessProvider>(
     let mut now = start + SimDuration::from_secs(5);
     for cluster in &mapping.clusters {
         let representative = cluster[0];
-        let mut access = provider.channel(representative);
+        let mut access = DirectAccess::new(prober, platform, representative, net);
         let e = enumerate_adaptive(&mut access, infra, opts, now);
         caches_per_cluster.push(e.estimated);
         now += SimDuration::from_secs(5);
     }
 
     // 3. Discover egress addresses through the first ingress.
-    let mut access = provider.channel(ingress[0]);
+    let mut access = DirectAccess::new(prober, platform, ingress[0], net);
     let egress_ips = discover_egress_adaptive(&mut access, infra, opts.egress_patience, now);
 
     let total_caches: u64 = caches_per_cluster.iter().sum();

@@ -6,9 +6,9 @@
 //! Internet-facing measurement system — while staying hermetic:
 //!
 //! * [`transport`] — the [`Transport`] abstraction
-//!   plus [`EngineAccess`], which adapts any
-//!   transport to `cde-core`'s `AccessChannel` so every enumeration /
-//!   mapping / survey algorithm runs unchanged over the wire.
+//!   plus [`EngineAccess`], which aims a transport at one ingress as a
+//!   `cde-core` `AccessChannel`, so the enumeration and timing
+//!   techniques run unchanged over the wire.
 //! * [`sim`] — [`SimTransport`]: the same interface
 //!   over an in-process `cde-platform::ResolutionPlatform`.
 //! * [`authority`] — [`WireAuthority`]: a
@@ -68,11 +68,11 @@
 //! * [`testbed`] — [`LiveTestbed`]: the whole live
 //!   chain (transport → resolver → authority) launched on loopback in
 //!   one call.
-//! * [`faulty`] — [`FaultyTransport`]: any
-//!   transport wrapped in a deterministic `cde-faults::FaultPlan`
-//!   (bursty loss, duplication, delay spikes, REFUSED rate limiting);
-//!   the reactor additionally wears plans natively at its socket seam
-//!   ([`ReactorConfig::faults`]) for
+//! * [`faulty`] — [`FaultyAccess`]: any `cde-core` `AccessChannel`
+//!   (direct, SMTP or ad-network) wrapped in a deterministic
+//!   `cde-faults::FaultPlan` (bursty loss, duplication, delay spikes,
+//!   REFUSED rate limiting); the reactor additionally wears plans
+//!   natively at its socket seam ([`ReactorConfig::faults`]) for
 //!   live-loopback chaos.
 //! * [`flight`] — [`FlightRecorder`]: the
 //!   always-on black box. With
@@ -113,7 +113,7 @@ pub use bufpool::{BufferPool, PoolStats};
 /// [`MetricsSnapshot::batch_fill_ratio`](metrics::MetricsSnapshot::batch_fill_ratio).
 pub use cde_sysio::MAX_BATCH;
 pub use clock::EngineClock;
-pub use faulty::FaultyTransport;
+pub use faulty::FaultyAccess;
 pub use flight::{FlightDisposition, FlightOptions, FlightRecord, FlightRecorder, FlightRing};
 pub use metrics::{EngineMetrics, MetricsBlock, MetricsSnapshot};
 pub use ratelimit::{RateConfig, RateLimiter, TenantRate, WeightedRateLimiter};

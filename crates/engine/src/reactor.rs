@@ -49,7 +49,6 @@ pub use crate::shard::shard_for_target;
 use crate::shard::{empty_slots, FaultLayer, PassEvents, ShardLoop, Submission, MAX_SLAB};
 use crate::timer::TimerWheel;
 use crate::transport::{Transport, TransportReply};
-use cde_core::AccessProvider;
 use cde_dns::wire::WireWriter;
 use cde_dns::{Name, RecordType};
 use cde_faults::{FaultPlan, FaultStats};
@@ -881,17 +880,6 @@ impl Transport for ReactorTransport {
 
     fn metrics(&self) -> Arc<EngineMetrics> {
         self.reactor.metrics()
-    }
-}
-
-impl AccessProvider for ReactorTransport {
-    type Channel<'a>
-        = crate::transport::EngineAccess<'a, ReactorTransport>
-    where
-        Self: 'a;
-
-    fn channel(&mut self, ingress: Ipv4Addr) -> Self::Channel<'_> {
-        crate::transport::EngineAccess::new(self, ingress)
     }
 }
 

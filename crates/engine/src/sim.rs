@@ -9,10 +9,9 @@
 
 use crate::metrics::EngineMetrics;
 use crate::transport::{Transport, TransportReply};
-use cde_core::AccessProvider;
 use cde_dns::{Name, RecordType};
 use cde_netsim::SimTime;
-use cde_platform::{NameserverNet, ResolutionPlatform, ResolveResult};
+use cde_platform::{NameserverNet, ResolutionPlatform};
 use cde_probers::{DirectProber, ProbeReply};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -51,11 +50,6 @@ impl SimTransport {
     pub fn observed_loss_rate(&self) -> f64 {
         self.prober.observed_loss_rate()
     }
-
-    /// Tears the transport apart, returning the platform and net.
-    pub fn into_parts(self) -> (ResolutionPlatform, NameserverNet, DirectProber) {
-        (self.platform, self.net, self.prober)
-    }
 }
 
 impl Transport for SimTransport {
@@ -82,7 +76,7 @@ impl Transport for SimTransport {
                     .record_received(Duration::from_micros(latency.as_micros()));
                 TransportReply::Answered {
                     latency: Some(latency),
-                    rcode: result_rcode(&result),
+                    rcode: result.rcode(),
                 }
             }
             ProbeReply::Timeout { .. } => {
@@ -102,21 +96,6 @@ impl Transport for SimTransport {
 
     fn metrics(&self) -> Arc<EngineMetrics> {
         Arc::clone(&self.metrics)
-    }
-}
-
-fn result_rcode(result: &ResolveResult) -> cde_dns::Rcode {
-    result.rcode()
-}
-
-impl AccessProvider for SimTransport {
-    type Channel<'a>
-        = crate::transport::EngineAccess<'a, SimTransport>
-    where
-        Self: 'a;
-
-    fn channel(&mut self, ingress: Ipv4Addr) -> Self::Channel<'_> {
-        crate::transport::EngineAccess::new(self, ingress)
     }
 }
 
@@ -170,29 +149,5 @@ mod tests {
             cde_core::TriggerOutcome::Delivered { latency: Some(_) }
         ));
         assert_eq!(infra.count_honey_fetches(access.net(), &session.honey), 1);
-    }
-
-    #[test]
-    fn provider_channels_reach_distinct_ingresses() {
-        let mut net = NameserverNet::new();
-        let mut infra = CdeInfra::install(&mut net);
-        let ing: Vec<Ipv4Addr> = (1..=2).map(|d| Ipv4Addr::new(192, 0, 2, d)).collect();
-        let platform = PlatformBuilder::new(93)
-            .ingress(ing.clone())
-            .egress(vec![Ipv4Addr::new(192, 0, 3, 1)])
-            .cluster(1, SelectorKind::Random)
-            .cluster(1, SelectorKind::Random)
-            .ingress_assignment(vec![0, 1])
-            .build();
-        let prober = DirectProber::new(Ipv4Addr::new(203, 0, 113, 1), Link::ideal(), 93);
-        let mut transport = SimTransport::new(platform, net, prober);
-        let mapping = cde_core::map_ingress_to_clusters_with(
-            &mut transport,
-            &mut infra,
-            &ing,
-            cde_core::MappingOptions::default(),
-            SimTime::ZERO,
-        );
-        assert_eq!(mapping.cluster_count(), 2);
     }
 }

@@ -3,8 +3,8 @@
 //! A [`Transport`] issues single DNS probes toward a platform ingress and
 //! owns the canonical [`NameserverNet`] — the observation point every CDE
 //! technique reads. [`EngineAccess`] adapts any transport to `cde-core`'s
-//! [`AccessChannel`], so `enumerate_*`, mapping, timing and survey code
-//! runs unchanged whether probes cross real sockets or virtual links.
+//! [`AccessChannel`], so `enumerate_*` and timing code runs unchanged
+//! whether probes cross real sockets or virtual links.
 
 use crate::metrics::EngineMetrics;
 use cde_core::{AccessChannel, TriggerOutcome};
@@ -60,11 +60,6 @@ pub trait Transport {
     /// Live transports treat any call as a zone edit and re-sync lazily.
     fn net_mut(&mut self) -> &mut NameserverNet;
 
-    /// `true` when probe latency is measured (both backends here do).
-    fn measures_latency(&self) -> bool {
-        true
-    }
-
     /// Engine counters for this transport.
     fn metrics(&self) -> Arc<EngineMetrics>;
 }
@@ -110,7 +105,8 @@ impl<T: Transport> AccessChannel for EngineAccess<'_, T> {
         self.transport.net_mut()
     }
 
+    // Both transports time every probe.
     fn measures_latency(&self) -> bool {
-        self.transport.measures_latency()
+        true
     }
 }

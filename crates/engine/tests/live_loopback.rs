@@ -13,11 +13,11 @@
 //! the planted cache count, now across actual sockets — and keeps
 //! recovering it when the wire deterministically drops queries.
 
-use cde_core::{enumerate_adaptive, AccessProvider, CdeInfra, SurveyOptions};
+use cde_core::{enumerate_adaptive, CdeInfra, SurveyOptions};
 use cde_engine::scheduler::{run_campaign_pipelined, Probe};
 use cde_engine::{
-    LiveTestbed, RateConfig, RateLimiter, Reactor, ReactorConfig, ResolverConfig, RetryPolicy,
-    SimTransport, Transport,
+    EngineAccess, LiveTestbed, RateConfig, RateLimiter, Reactor, ReactorConfig, ResolverConfig,
+    RetryPolicy, SimTransport, Transport,
 };
 use cde_netsim::{Link, SimTime};
 use cde_platform::{NameserverNet, PlatformBuilder, ResolutionPlatform, SelectorKind};
@@ -60,7 +60,7 @@ fn sim_and_live_backends_agree_on_the_same_platform() {
     let prober = DirectProber::new(Ipv4Addr::new(203, 0, 113, 1), Link::ideal(), 67);
     let mut sim = SimTransport::new(platform, net, prober);
     let sim_estimate = {
-        let mut access = sim.channel(INGRESS);
+        let mut access = EngineAccess::new(&mut sim, INGRESS);
         enumerate_adaptive(
             &mut access,
             &mut infra,
@@ -77,7 +77,7 @@ fn sim_and_live_backends_agree_on_the_same_platform() {
         .reactor_transport(ReactorConfig::with_policy(test_policy(), 67))
         .unwrap();
     let live_estimate = {
-        let mut access = transport.channel(INGRESS);
+        let mut access = EngineAccess::new(&mut transport, INGRESS);
         enumerate_adaptive(
             &mut access,
             &mut infra,
@@ -104,7 +104,7 @@ fn enumeration_over_reactor_backend_recovers_cache_count() {
         .unwrap();
 
     let e = {
-        let mut access = transport.channel(INGRESS);
+        let mut access = EngineAccess::new(&mut transport, INGRESS);
         enumerate_adaptive(
             &mut access,
             &mut infra,
@@ -156,7 +156,7 @@ fn enumeration_over_reactor_survives_injected_loss() {
         ..SurveyOptions::default()
     };
     let e = {
-        let mut access = transport.channel(INGRESS);
+        let mut access = EngineAccess::new(&mut transport, INGRESS);
         enumerate_adaptive(&mut access, &mut infra, &opts, SimTime::ZERO)
     };
     assert_eq!(

@@ -8,12 +8,12 @@
 //!
 //! Seeds come from `CDE_CHAOS_SEED`; failures print the replay recipe.
 
-use cde_core::{enumerate_adaptive, AccessProvider, CdeInfra, SurveyOptions};
+use cde_core::{enumerate_adaptive, CdeInfra, SurveyOptions};
 use cde_dns::{Message, Name, Rcode, RecordType};
 use cde_engine::scheduler::{run_campaign_pipelined, Probe};
 use cde_engine::{
-    LiveTestbed, MetricsSnapshot, Reactor, ReactorConfig, ResolverConfig, RetryPolicy, Transport,
-    TransportReply,
+    EngineAccess, LiveTestbed, MetricsSnapshot, Reactor, ReactorConfig, ResolverConfig,
+    RetryPolicy, Transport, TransportReply,
 };
 use cde_faults::{
     DelayFault, DuplicateFault, FaultPlan, RateLimitAction, RateLimitFault, TruncateFault,
@@ -147,7 +147,7 @@ fn adaptive_enumeration_survives_bursty_chaos() {
         ..SurveyOptions::default()
     };
     let e = {
-        let mut access = transport.channel(INGRESS);
+        let mut access = EngineAccess::new(&mut transport, INGRESS);
         enumerate_adaptive(&mut access, &mut infra, &opts, SimTime::ZERO)
     };
     assert_eq!(

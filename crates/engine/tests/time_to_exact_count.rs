@@ -14,12 +14,10 @@
 //! spend fewer probes, at most 0.36× the retransmits and at most 0.30×
 //! the static run's wall-clock.
 
-use cde_core::{
-    enumerate_identical, enumerate_sequential, AccessProvider, CdeInfra, EnumerateOptions,
-    ProbePlan,
-};
+use cde_core::{enumerate_identical, enumerate_sequential, CdeInfra, EnumerateOptions, ProbePlan};
 use cde_engine::{
-    AdaptiveRtoConfig, LiveTestbed, ReactorConfig, ResolverConfig, RetryPolicy, Transport,
+    AdaptiveRtoConfig, EngineAccess, LiveTestbed, ReactorConfig, ResolverConfig, RetryPolicy,
+    Transport,
 };
 use cde_faults::FaultPlan;
 use cde_netsim::SimTime;
@@ -86,7 +84,7 @@ fn run(adaptive: bool) -> Run {
     };
     let start = Instant::now();
     let (spent, observed) = {
-        let mut access = transport.channel(INGRESS);
+        let mut access = EngineAccess::new(&mut transport, INGRESS);
         if adaptive {
             let r =
                 enumerate_sequential(&mut access, &infra, &session, opts, EPSILON, SimTime::ZERO);

@@ -22,8 +22,10 @@
 //!
 //! One `#[test]` per file: it installs the process-global telemetry hub.
 
-use cde_core::{calibrate, enumerate_via_timing, AccessChannel, AccessProvider, CdeInfra};
-use cde_engine::{InsightOptions, LiveTestbed, ReactorConfig, ResolverConfig, RetryPolicy};
+use cde_core::{calibrate, enumerate_via_timing, AccessChannel, CdeInfra};
+use cde_engine::{
+    EngineAccess, InsightOptions, LiveTestbed, ReactorConfig, ResolverConfig, RetryPolicy,
+};
 use cde_insight::{split_digest, PHASES};
 use cde_netsim::SimTime;
 use cde_platform::{NameserverNet, PlatformBuilder, SelectorKind};
@@ -84,7 +86,7 @@ fn timing_side_channel_counts_caches_over_live_loopback() {
 
     // Live calibration + enumeration: real wall-clock RTTs end to end.
     let (cal, timing) = {
-        let mut access = transport.channel(INGRESS);
+        let mut access = EngineAccess::new(&mut transport, INGRESS);
         let cal = calibrate(&mut access, &mut infra, 12, SimTime::ZERO)
             .expect("hits and misses must separate over live loopback");
         let session = infra.new_session(access.net_mut(), 0);

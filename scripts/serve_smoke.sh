@@ -28,6 +28,9 @@
 # Usage: scripts/serve_smoke.sh   (from the repo root; needs curl)
 
 set -euo pipefail
+# Checks on a pipeline end in `grep … >/dev/null`, never `grep -q`: grep -q
+# exits at its first match, the writer then dies of SIGPIPE, and pipefail
+# turns a found match into a failed check.
 
 SEED="${CDE_CHAOS_SEED:-4242}"
 DIR="target/serve-smoke"
@@ -87,7 +90,7 @@ mkdir -p "$DIR"
 start_daemon
 
 say "health check"
-curl -fsS "http://$ADDR/healthz" | grep -q '"ok": true' || die "healthz"
+curl -fsS "http://$ADDR/healthz" | grep '"ok": true' >/dev/null || die "healthz"
 
 say "registering tenants alice (weight 1) and bob (weight 3)"
 curl -fsS -X POST -d '{"name": "alice", "weight": 1}' "http://$ADDR/v1/tenants" >/dev/null
@@ -101,15 +104,15 @@ BOB_ID="$(curl -fsS -X POST -d \
 say "campaign $BOB_ID submitted; polling to completion"
 
 STATUS="$(poll_status "$BOB_ID" done 60)"
-echo "$STATUS" | grep -q "\"estimated\": $CACHES," || die "wrong estimate: $STATUS"
-echo "$STATUS" | grep -q '"fully_accounted": true' || die "probes leaked: $STATUS"
+echo "$STATUS" | grep "\"estimated\": $CACHES," >/dev/null || die "wrong estimate: $STATUS"
+echo "$STATUS" | grep '"fully_accounted": true' >/dev/null || die "probes leaked: $STATUS"
 say "campaign $BOB_ID done: exact cache count recovered under chaos"
 
 say "scraping /metrics for per-tenant counters"
 METRICS="$(curl -fsS "http://$ADDR/metrics")"
-echo "$METRICS" | grep -q 'cde_serve_tenant_probes_total{tenant="bob"}' \
+echo "$METRICS" | grep 'cde_serve_tenant_probes_total{tenant="bob"}' >/dev/null \
     || die "missing bob's probe counter in scrape"
-echo "$METRICS" | grep -q 'cde_serve_tenant_weight{tenant="alice"} 1' \
+echo "$METRICS" | grep 'cde_serve_tenant_weight{tenant="alice"} 1' >/dev/null \
     || die "missing alice's weight gauge in scrape"
 
 # --- /v1/health: degrade under bursty loss, then recover -------------------
@@ -132,13 +135,13 @@ for _ in $(seq 1 300); do
     sleep 0.1
 done
 [ -n "$DEGRADED" ] || die "/v1/health never degraded under 25% bursty loss (last: $HEALTH)"
-echo "$HEALTH" | grep -q 'loss_budget_burn' \
+echo "$HEALTH" | grep 'loss_budget_burn' >/dev/null \
     || die "degraded verdict lacks a loss-attributed cause: $HEALTH"
 say "health degraded with loss cause: $(echo "$HEALTH" | json_field status)"
 
-curl -fsS "http://$ADDR/v1/health/shards" | grep -q '"duty_cycle"' \
+curl -fsS "http://$ADDR/v1/health/shards" | grep '"duty_cycle"' >/dev/null \
     || die "/v1/health/shards missing shard duty cycles"
-curl -fsS "http://$ADDR/metrics" | grep -q '^cde_pulse_health_status ' \
+curl -fsS "http://$ADDR/metrics" | grep '^cde_pulse_health_status ' >/dev/null \
     || die "cde_pulse_health_status missing from /metrics"
 
 # --- flight recorder: operator-triggered dump + loss forensics -------------
@@ -146,13 +149,13 @@ say "triggering a flight dump while degraded"
 DUMP_PATH="$(curl -fsS -X POST "http://$ADDR/v1/flight/dump" | json_field flight_dump)"
 [ -n "$DUMP_PATH" ] || die "POST /v1/flight/dump returned no path"
 [ -s "$DUMP_PATH" ] || die "flight dump artifact missing or empty: $DUMP_PATH"
-head -n 1 "$DUMP_PATH" | grep -q '"kind": "flight_header", "flight_version": 1' \
+head -n 1 "$DUMP_PATH" | grep '"kind": "flight_header", "flight_version": 1' >/dev/null \
     || die "flight dump lacks its versioned header: $(head -n 1 "$DUMP_PATH")"
 say "reconciling the dump with cde-analyze --forensics"
 FORENSICS="$(target/release/cde-analyze "$DUMP_PATH" --forensics --check)" \
     || die "forensics reconciliation failed on $DUMP_PATH"
-echo "$FORENSICS" | grep -q 'unanswered coverage' || die "no coverage line: $FORENSICS"
-echo "$FORENSICS" | grep -q '0 line(s) skipped' || die "dump had malformed lines: $FORENSICS"
+echo "$FORENSICS" | grep 'unanswered coverage' >/dev/null || die "no coverage line: $FORENSICS"
+echo "$FORENSICS" | grep '0 line(s) skipped' >/dev/null || die "dump had malformed lines: $FORENSICS"
 say "flight dump reconciled: $(echo "$FORENSICS" | grep 'unanswered coverage')"
 
 poll_status "$PULSE_ID" done 120 >/dev/null
@@ -162,7 +165,7 @@ say "pulse campaign done; waiting for /v1/health to recover (~60s)"
 RECOVERED=""
 for _ in $(seq 1 90); do
     HEALTH="$(health)"
-    if echo "$HEALTH" | grep -q '"status": "ok"'; then
+    if echo "$HEALTH" | grep '"status": "ok"' >/dev/null; then
         RECOVERED=1
         break
     fi
@@ -197,7 +200,7 @@ if ls "$DIR"/ckpt/flight-*.jsonl.tmp >/dev/null 2>&1; then
 fi
 for dump in "$DIR"/ckpt/flight-*.jsonl; do
     [ -e "$dump" ] || continue
-    head -n 1 "$dump" | grep -q '"flight_version": 1' \
+    head -n 1 "$dump" | grep '"flight_version": 1' >/dev/null \
         || die "committed flight dump $dump does not parse after kill -9"
 done
 
@@ -206,8 +209,8 @@ start_daemon --resume
 STATUS="$(poll_status "$VICTIM_ID" done 60)"
 RESUMED_FROM="$(echo "$STATUS" | json_field resumed_from)"
 [ "${RESUMED_FROM:-0}" -gt 0 ] || die "resume did not continue from the snapshot: $STATUS"
-echo "$STATUS" | grep -q '"completed": 240' || die "resumed campaign incomplete: $STATUS"
-echo "$STATUS" | grep -q '"fully_accounted": true' || die "probes leaked across the kill: $STATUS"
+echo "$STATUS" | grep '"completed": 240' >/dev/null || die "resumed campaign incomplete: $STATUS"
+echo "$STATUS" | grep '"fully_accounted": true' >/dev/null || die "probes leaked across the kill: $STATUS"
 say "campaign $VICTIM_ID resumed from $RESUMED_FROM and completed"
 
 say "graceful shutdown over HTTP"

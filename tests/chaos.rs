@@ -7,24 +7,34 @@
 //! contract itself: two runs of one seed must emit byte-identical
 //! probe-level event streams (timestamps stripped).
 
-use counting_dark::cde::enumerate::{enumerate_identical, EnumerateOptions};
-use counting_dark::cde::{AccessProvider, CdeInfra, ProbePlan, Session};
-use counting_dark::engine::{FaultyTransport, SimTransport};
+use counting_dark::cde::enumerate::{
+    enumerate_identical, enumerate_names_hierarchy, EnumerateOptions,
+};
+use counting_dark::cde::{CdeInfra, DirectAccess, ProbePlan, Session, SmtpAccess};
+use counting_dark::engine::FaultyAccess;
 use counting_dark::faults::{
-    DelayFault, DuplicateFault, FaultPlan, RateLimitAction, RateLimitFault,
+    DelayFault, DuplicateFault, FaultPlan, FaultStats, RateLimitAction, RateLimitFault,
 };
 use counting_dark::netsim::{seed_from_env, Link, SeedGuard, SimDuration, SimTime};
-use counting_dark::platform::{NameserverNet, PlatformBuilder, SelectorKind};
-use counting_dark::probers::DirectProber;
+use counting_dark::platform::{NameserverNet, PlatformBuilder, ResolutionPlatform, SelectorKind};
+use counting_dark::probers::{DirectProber, EnterpriseMailServer, MailChecks, SmtpProber};
 use counting_dark::telemetry::{strip_at_us, TelemetryHub};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 const INGRESS: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
-/// A hidden `n`-cache platform wrapped in a [`SimTransport`], plus the
-/// infra/session needed to count honey fetches from the outside.
-fn sim(n: usize, seed: u64) -> (SimTransport, CdeInfra, Session) {
+/// A hidden `n`-cache platform behind one ingress, plus the infra/session
+/// needed to count honey fetches from the outside.
+struct World {
+    platform: ResolutionPlatform,
+    net: NameserverNet,
+    infra: CdeInfra,
+    session: Session,
+}
+
+fn world(n: usize, seed: u64, farm: usize) -> World {
     let mut net = NameserverNet::new();
     let mut infra = CdeInfra::install(&mut net);
     let platform = PlatformBuilder::new(seed)
@@ -32,20 +42,32 @@ fn sim(n: usize, seed: u64) -> (SimTransport, CdeInfra, Session) {
         .egress(vec![Ipv4Addr::new(192, 0, 3, 1)])
         .cluster(n, SelectorKind::Random)
         .build();
-    let session = infra.new_session(&mut net, 0);
-    let prober = DirectProber::new(Ipv4Addr::new(203, 0, 113, 1), Link::ideal(), seed);
-    (SimTransport::new(platform, net, prober), infra, session)
+    let session = infra.new_session(&mut net, farm);
+    World {
+        platform,
+        net,
+        infra,
+        session,
+    }
 }
 
-/// Runs identical-query enumeration through `faulty` and returns ω.
-fn enumerate_through(
-    faulty: &mut FaultyTransport<SimTransport>,
-    infra: &CdeInfra,
-    session: &Session,
+/// Runs identical-query enumeration over direct access to an `n`-cache
+/// platform wrapped in `plan`, reporting its probe events to `hub`;
+/// returns ω and what the plan injected.
+fn enumerate_direct(
+    n: usize,
+    seed: u64,
+    plan: &FaultPlan,
+    hub: Arc<TelemetryHub>,
     opts: EnumerateOptions,
-) -> u64 {
-    let mut access = faulty.channel(INGRESS);
-    enumerate_identical(&mut access, infra, session, opts, SimTime::ZERO).observed
+) -> (u64, Arc<FaultStats>) {
+    let mut w = world(n, seed, 0);
+    let mut prober = DirectProber::new(Ipv4Addr::new(203, 0, 113, 1), Link::ideal(), seed);
+    let direct = DirectAccess::new(&mut prober, &mut w.platform, INGRESS, &mut w.net);
+    let mut faulty = FaultyAccess::new(direct, plan).with_telemetry(hub);
+    let observed =
+        enumerate_identical(&mut faulty, &w.infra, &w.session, opts, SimTime::ZERO).observed;
+    (observed, faulty.fault_stats())
 }
 
 #[test]
@@ -55,23 +77,21 @@ fn bursty_loss_enumeration_stays_exact() {
     let n = 5usize;
     for (i, loss) in [0.25, 0.33, 0.40].into_iter().enumerate() {
         let mean_burst = 3.0;
-        let (inner, infra, session) = sim(n, seed ^ (i as u64) << 8);
         let fault_plan = FaultPlan::bursty(seed.wrapping_add(i as u64), loss, mean_burst);
         // Budget redundancy for the *burst-aware* loss model — the
         // uniform carpet-bombing K under-provisions when drops cluster.
         let probe_plan = ProbePlan::for_bursty_target(8, loss, mean_burst);
-        let mut faulty = FaultyTransport::new(inner, &fault_plan);
-        let observed = enumerate_through(
-            &mut faulty,
-            &infra,
-            &session,
+        let (observed, stats) = enumerate_direct(
+            n,
+            seed ^ (i as u64) << 8,
+            &fault_plan,
+            counting_dark::telemetry::global(),
             EnumerateOptions {
                 probes: probe_plan.probes,
                 redundancy: probe_plan.redundancy,
                 gap: SimDuration::from_millis(10),
             },
         );
-        let stats = faulty.fault_stats();
         assert!(
             stats.query_drops() > 0,
             "loss {loss}: chaos run was accidentally clean"
@@ -90,7 +110,6 @@ fn duplicated_replies_and_jitter_stay_exact() {
     let seed = seed_from_env("CDE_CHAOS_SEED", 777);
     let _guard = SeedGuard::new("CDE_CHAOS_SEED", seed);
     let n = 4usize;
-    let (inner, infra, session) = sim(n, seed);
     let plan = FaultPlan {
         duplicate: Some(DuplicateFault {
             rate: 0.5,
@@ -103,14 +122,13 @@ fn duplicated_replies_and_jitter_stay_exact() {
         }),
         ..FaultPlan::clean(seed)
     };
-    let mut faulty = FaultyTransport::new(inner, &plan);
-    let observed = enumerate_through(
-        &mut faulty,
-        &infra,
-        &session,
+    let (observed, stats) = enumerate_direct(
+        n,
+        seed,
+        &plan,
+        counting_dark::telemetry::global(),
         EnumerateOptions::with_probes(64),
     );
-    let stats = faulty.fault_stats();
     assert!(stats.duplicated() > 0, "duplication never fired");
     assert!(stats.delayed() > 0, "jitter never fired");
     // Duplicates and reordering must not inflate ω: the count is driven
@@ -123,7 +141,6 @@ fn rate_limited_refusals_remain_recoverable() {
     let seed = seed_from_env("CDE_CHAOS_SEED", 909);
     let _guard = SeedGuard::new("CDE_CHAOS_SEED", seed);
     let n = 4usize;
-    let (inner, infra, session) = sim(n, seed);
     // Probes arrive at 100 qps (10ms gap); the resolver admits 60 qps
     // with a 10-deep bucket, REFUSING the rest without resolving.
     let plan = FaultPlan {
@@ -135,18 +152,17 @@ fn rate_limited_refusals_remain_recoverable() {
         ..FaultPlan::clean(seed)
     };
     let probes = ProbePlan::for_target(8, 0.0).probes;
-    let mut faulty = FaultyTransport::new(inner, &plan);
-    let observed = enumerate_through(
-        &mut faulty,
-        &infra,
-        &session,
+    let (observed, stats) = enumerate_direct(
+        n,
+        seed,
+        &plan,
+        counting_dark::telemetry::global(),
         EnumerateOptions {
             probes,
             redundancy: 1,
             gap: SimDuration::from_millis(10),
         },
     );
-    let stats = faulty.fault_stats();
     assert!(
         stats.refused() > 0,
         "rate limit never fired at 100 qps offered"
@@ -164,7 +180,6 @@ fn rate_limited_refusals_remain_recoverable() {
 /// One chaos enumeration run with a private telemetry hub; returns the
 /// drained JSONL with timestamps stripped.
 fn chaos_event_stream(platform_seed: u64, fault_seed: u64) -> String {
-    let (inner, infra, session) = sim(3, platform_seed);
     let plan = FaultPlan {
         duplicate: Some(DuplicateFault {
             rate: 0.3,
@@ -173,11 +188,11 @@ fn chaos_event_stream(platform_seed: u64, fault_seed: u64) -> String {
         ..FaultPlan::bursty(fault_seed, 0.3, 3.0)
     };
     let hub = TelemetryHub::new(8192);
-    let mut faulty = FaultyTransport::new(inner, &plan).with_telemetry(hub.clone());
-    let _ = enumerate_through(
-        &mut faulty,
-        &infra,
-        &session,
+    let _ = enumerate_direct(
+        3,
+        platform_seed,
+        &plan,
+        hub.clone(),
         EnumerateOptions {
             probes: 48,
             redundancy: 6,
@@ -209,5 +224,55 @@ fn replaying_a_seed_reproduces_the_event_stream() {
     assert_ne!(
         first, third,
         "fault seed does not influence the event stream (seed {seed})"
+    );
+}
+
+#[test]
+fn bursty_loss_over_smtp_stays_exact() {
+    let seed = seed_from_env("CDE_CHAOS_SEED", 2525);
+    let _guard = SeedGuard::new("CDE_CHAOS_SEED", seed);
+    let (n, loss, mean_burst) = (4usize, 0.3, 3.0);
+    let probe_plan = ProbePlan::for_bursty_target(8, loss, mean_burst);
+    let mut w = world(n, seed, probe_plan.probes as usize);
+    // An enterprise MTA checking SPF: every probe mail makes the
+    // platform resolve a fresh name of the session's delegated subzone.
+    let mut prober = SmtpProber::new(seed);
+    let mut mta = EnterpriseMailServer::new(
+        Ipv4Addr::new(198, 18, 0, 25),
+        MailChecks {
+            spf_txt: true,
+            ..MailChecks::default()
+        },
+        INGRESS,
+    );
+    let smtp = SmtpAccess {
+        prober: &mut prober,
+        mta: &mut mta,
+        platform: &mut w.platform,
+        net: &mut w.net,
+    };
+    let mut faulty = FaultyAccess::new(smtp, &FaultPlan::bursty(seed, loss, mean_burst));
+    let observed = enumerate_names_hierarchy(
+        &mut faulty,
+        &w.infra,
+        &w.session,
+        EnumerateOptions {
+            probes: probe_plan.probes,
+            redundancy: probe_plan.redundancy,
+            gap: SimDuration::from_millis(10),
+        },
+        SimTime::ZERO,
+    )
+    .observed;
+    let stats = faulty.fault_stats();
+    assert!(
+        stats.query_drops() > 0,
+        "SMTP chaos run was accidentally clean"
+    );
+    assert_eq!(
+        observed,
+        n as u64,
+        "ω {observed} != {n} over SMTP (drops {}, seed {seed})",
+        stats.query_drops()
     );
 }
